@@ -12,7 +12,15 @@ Two interchangeable strategies:
   gain of a node is the number of infected nodes it dominates on the
   reachability flowgraph.
 
-Both strategies are exact; tests assert they return equal counts.
+A swap neighbourhood needs, for each removed node v, the totals of
+``(S - {v}) | {w}`` over the replacements w: ``totals_with(S - {v}, ws)``.
+``bfs`` evaluates each of those sets literally.  The structural evaluators
+compute the per-topology saved count of ``S - {v}`` and the per-topology gain
+of every node once, and add them, so one removed node costs one gains pass.
+
+Both strategies are exact; tests assert they return equal counts.  Every
+float comes from ``_weighted_total`` over per-topology integer counts, so the
+strategies agree bit for bit, on mu-weighted (enumerated) instances too.
 """
 
 from __future__ import annotations
@@ -25,12 +33,21 @@ from .errors import ModelMismatchError
 from .graph import IC, LT
 from .spread import ProblemInstance
 
-_INFECTED = 1
-_BLOCKED = 2
 
+def _weighted_total(per_topology, mu: np.ndarray | None):
+    """Single canonical reduction so every evaluator produces identical floats.
 
-def _weighted_total(per_topology: list[int], mu: np.ndarray | None) -> float:
-    """Single canonical reduction so every evaluator produces identical floats."""
+    ``per_topology`` is one integer count per topology, reduced to a float,
+    or a (topologies, candidates) integer array, reduced to one float per
+    column.  Columns are reduced one at a time exactly as a 1-D count list
+    is, because ``mu @ counts`` sums in another order and can differ in the
+    last bit; without mu the integer sums are exact either way.
+    """
+    if isinstance(per_topology, np.ndarray) and per_topology.ndim == 2:
+        if mu is None:
+            return per_topology.sum(axis=0).astype(float)
+        columns = np.ascontiguousarray(per_topology.T, dtype=float)
+        return np.array([_weighted_total(col, mu) for col in columns])
     if mu is None:
         return float(sum(per_topology))
     return float(np.dot(mu, np.asarray(per_topology, dtype=float)))
@@ -52,7 +69,8 @@ class BfsEvaluator:
         self._vis = [0] * self.n
         self._epoch = 0
 
-    def _saved_one(self, out, blocked, extra=-1) -> int:
+    def _infected_order(self, out, blocked, extra=-1) -> list[int]:
+        """Infected nodes of one topology, each listed after its infector."""
         self._epoch += 1
         epoch = self._epoch
         vis = self._vis
@@ -60,20 +78,22 @@ class BfsEvaluator:
             vis[v] = epoch
         if extra >= 0:
             vis[extra] = epoch
-        count = 0
-        stack = []
+        order = []
         for i in self.infected:
             if vis[i] != epoch:
                 vis[i] = epoch
-                count += 1
-                stack.append(i)
+                order.append(i)
+        stack = list(order)
         while stack:
             for w in out[stack.pop()]:
                 if vis[w] != epoch:
                     vis[w] = epoch
-                    count += 1
+                    order.append(w)
                     stack.append(w)
-        return self.n - count
+        return order
+
+    def _saved_one(self, out, blocked, extra=-1) -> int:
+        return self.n - len(self._infected_order(out, blocked, extra))
 
     def per_topology_saved(self, S) -> list[int]:
         blocked = list(S)
@@ -84,6 +104,11 @@ class BfsEvaluator:
 
     def batch_total(self, candidate_sets) -> list[float]:
         return [self.total_saved(S) for S in candidate_sets]
+
+    def totals_with(self, base, candidates) -> list[float]:
+        """Total saved of ``base | {w}`` for each candidate w, set by set."""
+        base = frozenset(base)
+        return self.batch_total([base | {w} for w in candidates])
 
     def gains(self, S) -> np.ndarray:
         """Marginal gain of adding each candidate node, full re-evaluation."""
@@ -99,149 +124,101 @@ class BfsEvaluator:
         return out
 
 
-class LtChainEvaluator(BfsEvaluator):
-    """Exact LT evaluation via the per-node incoming-parent structure.
+class _StructuralEvaluator(BfsEvaluator):
+    """Shared reductions of the structural evaluators.
 
-    Every node has at most one possible infector per realization, so a node is
-    infected iff the walk along parent pointers meets a seed before meeting a
-    vaccinated node (or running out).  Candidate sets are classified with
-    pointer-doubling over stacked parent arrays; gains come from infected
-    subtree sizes.
+    A subclass supplies ``_counts(S)``: per topology, the integer saved count
+    of S and the integer gain of vaccinating each node in addition to S.
+    Gains and swap totals both reduce those counts with ``_weighted_total``.
+    Each concrete class defines its own ``gains`` so that the benchmark's
+    tracer, which wraps methods by class and name, finds it there.
     """
 
-    name = "structural"
+    def _counts(self, S) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
 
-    _CHUNK = 48
-
-    def __init__(self, instance: ProblemInstance):
-        super().__init__(instance)
-        n = self.n
-        s = len(instance.topologies)
-        parents = np.full((s, n + 1), n, dtype=np.int64)
-        for t, topo in enumerate(instance.topologies):
-            row = parents[t]
-            for src, dst in topo.live_edges:
-                if row[dst] != n:
-                    raise ModelMismatchError(
-                        f"topology {t}: node {dst} has two incoming live edges"
-                    )
-                row[dst] = src
-        self.parents = parents
-        self._parent_lists = [list(map(int, parents[t, :n])) for t in range(s)]
-        # Ancestor tables p^(2^t); enough levels that 2^levels >= n covers any
-        # simple chain prefix before a repeat.
-        self.anc = [parents]
-        while (1 << len(self.anc)) < max(n, 1):
-            prev = self.anc[-1]
-            self.anc.append(np.take_along_axis(prev, prev, axis=1))
-        self._rows = np.arange(s)[:, None]
-        base = np.zeros((s, n + 1), dtype=np.int8)
-        base[:, n] = _BLOCKED
-        if self.infected:
-            base[:, self.infected] = _INFECTED
-        self._base = base
-
-    def _resolve_batch(self, res: np.ndarray) -> np.ndarray:
-        # res: (C, s, n+1); repeatedly adopt the first classification found in
-        # the next 2^t ancestors.  Unresolved nodes sit on seed-free cycles and
-        # stay saved.
-        rows = self._rows
-        for anc_t in self.anc:
-            gathered = res[:, rows, anc_t]
-            res = np.where(res != 0, res, gathered)
-        return res
-
-    def _batch_infected_counts(self, candidate_sets) -> np.ndarray:
-        n = self.n
-        s = len(self.outs)
-        counts = np.empty((len(candidate_sets), s), dtype=np.int64)
-        for start in range(0, len(candidate_sets), self._CHUNK):
-            chunk = candidate_sets[start : start + self._CHUNK]
-            res = np.repeat(self._base[None, :, :], len(chunk), axis=0)
-            for ci, S in enumerate(chunk):
-                nodes = list(S)
-                if nodes:
-                    res[ci][:, nodes] = _BLOCKED
-            res = self._resolve_batch(res)
-            counts[start : start + len(chunk)] = (res[:, :, :n] == _INFECTED).sum(axis=2)
-        return counts
-
-    def per_topology_saved(self, S) -> list[int]:
-        counts = self._batch_infected_counts([S])[0]
-        return [self.n - int(c) for c in counts]
-
-    def batch_total(self, candidate_sets) -> list[float]:
-        counts = self._batch_infected_counts(list(candidate_sets))
-        totals = []
-        for row in counts:
-            per = [self.n - int(c) for c in row]
-            totals.append(_weighted_total(per, self.mu))
-        return totals
-
-    def gains(self, S) -> np.ndarray:
-        S = set(S)
-        n = self.n
-        infected_set = self._infected_set
-        weights = self.mu if self.mu is not None else np.ones(len(self.outs))
-        gains = np.zeros(n)
-        for t, p in enumerate(self._parent_lists):
-            status = bytearray(n)
-            for i in self.infected:
-                status[i] = _INFECTED
-            for v in S:
-                status[v] = _BLOCKED
-            for u in range(n):
-                if status[u]:
-                    continue
-                path = []
-                x = u
-                while x != n and status[x] == 0:
-                    status[x] = 3  # on current walk; meeting it again means a cycle
-                    path.append(x)
-                    x = p[x]
-                if x == n or status[x] in (_BLOCKED, 3):
-                    st = _BLOCKED
-                else:
-                    st = _INFECTED
-                for y in path:
-                    status[y] = st
-            # Infected non-seed nodes form a forest hanging off the seeds;
-            # the gain of a node is its subtree size (itself included).
-            kids: dict[int, list[int]] = {}
-            for u in range(n):
-                if status[u] == _INFECTED and u not in infected_set:
-                    kids.setdefault(p[u], []).append(u)
-            order = []
-            stack = list(self.infected)
-            while stack:
-                u = stack.pop()
-                for c in kids.get(u, ()):
-                    order.append(c)
-                    stack.append(c)
-            size = [1] * n
-            w = weights[t]
-            for u in reversed(order):
-                par = p[u]
-                if par not in infected_set:
-                    size[par] += size[u]
-            for u in order:
-                gains[u] += w * size[u]
-        mask = list(S | infected_set)
+    def _masked_gains(self, S, gain_counts: np.ndarray) -> np.ndarray:
+        gains = _weighted_total(gain_counts, self.mu)
+        mask = list(set(S) | self._infected_set)
         if mask:
             gains[mask] = -math.inf
         return gains
 
+    def totals_with(self, base, candidates) -> np.ndarray:
+        # saved(base | {w}) = saved(base) + gain(base)[w] in every topology
+        saved, gain_counts = self._counts(base)
+        return _weighted_total(gain_counts[:, list(candidates)] + saved[:, None], self.mu)
 
-class IcDominatorEvaluator(BfsEvaluator):
+
+class LtChainEvaluator(_StructuralEvaluator):
+    """Exact LT evaluation via the per-node incoming-parent structure.
+
+    Every node has at most one possible infector per realization, so the
+    infected nodes of a topology form a forest hanging off the seeds, and
+    the gain of vaccinating an infected node is the size of its subtree.
+    One traversal from the seeds per topology, stopping at vaccinated nodes,
+    yields both the saved count and every node's gain, so a gains vector and
+    the swap totals of one removed node each cost one pass over the
+    topologies.  Set totals use the inherited traversal alone.
+    """
+
+    name = "structural"
+
+    def __init__(self, instance: ProblemInstance):
+        super().__init__(instance)
+        n = self.n
+        self._parent_lists = []
+        for t, topo in enumerate(instance.topologies):
+            parent = [n] * n
+            for src, dst in topo.live_edges:
+                if parent[dst] != n:
+                    raise ModelMismatchError(
+                        f"topology {t}: node {dst} has two incoming live edges"
+                    )
+                parent[dst] = src
+            self._parent_lists.append(parent)
+        self._seed = bytearray(n)
+        for i in self.infected:
+            self._seed[i] = 1
+
+    def batch_total(self, candidate_sets) -> list[float]:
+        # Defined on this class, not only inherited, so that the benchmark's
+        # tracer can wrap LT set evaluation by name.
+        return [self.total_saved(S) for S in candidate_sets]
+
+    def _counts(self, S) -> tuple[np.ndarray, np.ndarray]:
+        n = self.n
+        seed = self._seed
+        saved = np.empty(len(self.outs), dtype=np.int64)
+        gain_counts = np.empty((len(self.outs), n), dtype=np.int64)
+        for t, (out, parent) in enumerate(zip(self.outs, self._parent_lists)):
+            order = self._infected_order(out, S)
+            saved[t] = n - len(order)
+            size = [0] * n
+            for u in reversed(order):  # every subtree before its root
+                if not seed[u]:
+                    size[u] += 1
+                    par = parent[u]
+                    if not seed[par]:
+                        size[par] += size[u]
+            gain_counts[t] = size
+        return saved, gain_counts
+
+    def gains(self, S) -> np.ndarray:
+        return self._masked_gains(S, self._counts(S)[1])
+
+
+class IcDominatorEvaluator(_StructuralEvaluator):
     """IC gains via dominator subtree counts on the reachability flowgraph.
 
     A node u is saved by vaccinating v exactly when every live path from the
     seeds to u passes through v, i.e. v dominates u with respect to a virtual
-    super-source feeding all seeds.  Set evaluation still uses BFS.
+    super-source feeding all seeds.  One dominator pass per topology yields
+    the saved count and every node's gain; set totals still use BFS.
 
     Successive calls with S growing one node at a time (the greedy pattern)
     reuse per-topology results: removing a node that was not reachable in a
-    topology leaves that topology's flowgraph, and hence its gains, unchanged.
+    topology leaves that topology's flowgraph, and hence its counts, unchanged.
     """
 
     name = "structural"
@@ -252,36 +229,35 @@ class IcDominatorEvaluator(BfsEvaluator):
         self._infected_mark = bytearray(self.n + 1)
         for i in self.infected:
             self._infected_mark[i] = 1
+        s = len(self.outs)
         self._cache_S: frozenset[int] | None = None
-        self._cache_gains: list[np.ndarray | None] = [None] * len(self.outs)
-        self._cache_reach: list[bytearray | None] = [None] * len(self.outs)
+        self._cache_saved = np.zeros(s, dtype=np.int64)
+        self._cache_counts = np.zeros((s, self.n), dtype=np.int64)
+        self._cache_reach: list[bytearray | None] = [None] * s
 
     def gains(self, S) -> np.ndarray:
+        return self._masked_gains(S, self._counts(S)[1])
+
+    def _counts(self, S) -> tuple[np.ndarray, np.ndarray]:
         S = frozenset(S)
-        weights = self.mu if self.mu is not None else np.ones(len(self.outs))
         incremental = (
             self._cache_S is not None
             and len(S) == len(self._cache_S) + 1
             and self._cache_S < S
         )
         added = next(iter(S - self._cache_S)) if incremental else -1
-        total = np.zeros(self.n)
         for t in range(len(self.outs)):
             if incremental and not self._cache_reach[t][added]:
-                total += self._cache_gains[t]
                 continue
-            per, reach = self._dominator_pass(self.outs[t], self.ins[t], S, float(weights[t]))
-            self._cache_gains[t] = per
+            row, reach = self._dominator_pass(self.outs[t], self.ins[t], S)
+            self._cache_counts[t] = row
+            self._cache_saved[t] = self.n - reach.count(1)
             self._cache_reach[t] = reach
-            total += per
         self._cache_S = S
-        mask = list(S | self._infected_set)
-        if mask:
-            total[mask] = -math.inf
-        return total
+        return self._cache_saved, self._cache_counts
 
-    def _dominator_pass(self, out, preds, S, weight):
-        """Weighted dominated-counts for one topology plus its reachable mask."""
+    def _dominator_pass(self, out, preds, S):
+        """Dominated-node counts for one topology plus its reachable mask."""
         n = self.n
         root = n  # virtual super-source feeding every seed
         blocked = bytearray(n + 1)
@@ -311,13 +287,13 @@ class IcDominatorEvaluator(BfsEvaluator):
                 stack.pop()
                 po[u] = len(order)
                 order.append(u)
-        gains = np.zeros(n)
+        counts = [0] * n
         reach = visited
         reach[root] = 0
         for v in S:
             reach[v] = 0  # blocked nodes are not reachable
         if len(order) <= 1:
-            return gains, reach
+            return counts, reach
 
         idom = [-1] * (n + 1)
         idom[root] = root
@@ -348,8 +324,8 @@ class IcDominatorEvaluator(BfsEvaluator):
             size[idom[u]] += size[u]
         for u in order[:-1]:
             if not infected_mark[u]:
-                gains[u] = weight * size[u]
-        return gains, reach
+                counts[u] = size[u]
+        return counts, reach
 
 
 def make_evaluator(instance: ProblemInstance, evaluation: str = "bfs") -> BfsEvaluator:

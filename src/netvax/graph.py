@@ -210,4 +210,7 @@ def read_graph(path) -> Graph:
         if set(coords) != set(range(n)):
             raise FormatError("coord lines must cover every node exactly once")
         coord_list = [coords[i] for i in range(n)]
-    return Graph(n, edges, model, coord_list)
+    try:
+        return Graph(n, edges, model, coord_list)
+    except IndexError as exc:
+        raise FormatError(str(exc)) from exc

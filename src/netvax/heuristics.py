@@ -5,6 +5,12 @@ samples.  Local search only swaps a selected node for one of its graph
 neighbors and commits the best accumulated swap once per pass; hill climbing
 considers every (selected, outside) exchange and applies the single best
 strictly improving one per iteration.
+
+Both swap searches share one scan.  Per pass they ask the evaluator once per
+selected node v for the totals of every swap that removes v.  With the
+``structural`` evaluators, on LT and IC alike, that is one gains computation
+on S - {v}, so a pass costs |S| gains calls; with ``bfs`` every swapped set
+is still evaluated literally.
 """
 
 from __future__ import annotations
@@ -100,6 +106,40 @@ def greedy_trajectory(
     return results
 
 
+def _swap_search(instance, S0, evaluation, algorithm, replacements) -> SolverResult:
+    """Best-improvement swap passes, shared by local search and hill climbing.
+
+    A pass scans the swaps (v, w) of its starting set S, v ascending and then
+    w ascending over ``replacements(v)`` outside S and the infected set, and
+    keeps the first swap whose total beats every earlier one and S itself.
+    The pass commits that swap; a pass without one ends the search.  The
+    totals for one v come from a single ``totals_with(S - {v}, ...)`` call.
+    """
+    t0 = time.perf_counter()
+    S = _as_nodes(S0)
+    _check_start(instance, S)
+    evaluator = make_evaluator(instance, evaluation)
+    infected = instance.infected
+    passes = 0
+    while True:
+        passes += 1
+        best = None
+        best_value = evaluator.total_saved(S)
+        for v in sorted(S):
+            ws = [w for w in replacements(v) if w not in S and w not in infected]
+            if not ws:
+                continue
+            rest = S - {v}
+            for w, value in zip(ws, evaluator.totals_with(rest, ws)):
+                if value > best_value:
+                    best = rest | {w}
+                    best_value = value
+        if best is None:
+            break
+        S = best
+    return _finish(instance, S, t0, passes, algorithm)
+
+
 def local_search(instance: ProblemInstance, S0, evaluation: str = "bfs") -> SolverResult:
     """Improve S0 by neighbor swaps until a full pass finds no improvement.
 
@@ -108,31 +148,7 @@ def local_search(instance: ProblemInstance, S0, evaluation: str = "bfs") -> Solv
     committed at pass end.  Only strictly improving swaps are accepted, so the
     result never scores below S0 and termination is guaranteed.
     """
-    t0 = time.perf_counter()
-    S = _as_nodes(S0)
-    _check_start(instance, S)
-    evaluator = make_evaluator(instance, evaluation)
-    graph = instance.graph
-    infected = instance.infected
-    passes = 0
-    while True:
-        passes += 1
-        swaps = []
-        for v in sorted(S):
-            for v2 in graph.neighbors(v):
-                if v2 not in S and v2 not in infected:
-                    swaps.append(frozenset((S - {v}) | {v2}))
-        values = evaluator.batch_total(swaps)
-        temp = S
-        temp_value = evaluator.total_saved(S)
-        for cand, value in zip(swaps, values):
-            if value > temp_value:
-                temp = cand
-                temp_value = value
-        if temp == S:
-            break
-        S = temp
-    return _finish(instance, S, t0, passes, "ls")
+    return _swap_search(instance, S0, evaluation, "ls", instance.graph.neighbors)
 
 
 def hill_climb(instance: ProblemInstance, S0, evaluation: str = "bfs") -> SolverResult:
@@ -141,29 +157,4 @@ def hill_climb(instance: ProblemInstance, S0, evaluation: str = "bfs") -> Solver
     Unlike local search the replacement node can be any non-infected node, so
     the neighborhood is larger and convergence is slower.
     """
-    t0 = time.perf_counter()
-    S = _as_nodes(S0)
-    _check_start(instance, S)
-    evaluator = make_evaluator(instance, evaluation)
-    infected = instance.infected
-    n = instance.n
-    passes = 0
-    while True:
-        passes += 1
-        current = evaluator.total_saved(S)
-        swaps = []
-        for v in sorted(S):
-            for v2 in range(n):
-                if v2 not in S and v2 not in infected:
-                    swaps.append(frozenset((S - {v}) | {v2}))
-        values = evaluator.batch_total(swaps)
-        best = None
-        best_value = current
-        for cand, value in zip(swaps, values):
-            if value > best_value:
-                best = cand
-                best_value = value
-        if best is None:
-            break
-        S = best
-    return _finish(instance, S, t0, passes, "hc")
+    return _swap_search(instance, S0, evaluation, "hc", lambda v: range(instance.n))

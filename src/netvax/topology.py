@@ -286,9 +286,13 @@ def read_topology_set(path, source_graph_hash: str = "") -> TopologySet:
     edges: list[tuple[int, int]] = []
     mu: float | None = None
     started = False
+    topo_line = 0
 
     def flush():
-        topologies.append(Topology(n, edges, mu=mu))
+        try:
+            topologies.append(Topology(n, edges, mu=mu))
+        except (IndexError, ParameterError) as exc:
+            raise FormatError(f"line {topo_line}: topology {len(topologies)}: {exc}") from exc
 
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -306,10 +310,18 @@ def read_topology_set(path, source_graph_hash: str = "") -> TopologySet:
                         raise FormatError(f"line {lineno}: 'topo' before header")
                     if started:
                         flush()
+                    index = int(parts[1])
+                    if index != len(topologies):
+                        raise FormatError(
+                            f"line {lineno}: topology index {index}, expected {len(topologies)}"
+                        )
                     started = True
+                    topo_line = lineno
                     edges = []
                     mu = float(parts[2]) if len(parts) > 2 else None
                 elif parts[0] == "e":
+                    if not started:
+                        raise FormatError(f"line {lineno}: 'e' before the first 'topo'")
                     edges.append((int(parts[1]), int(parts[2])))
                 else:
                     raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")

@@ -126,3 +126,12 @@ def test_gen_graph_and_topologies_round_trip(tmp_path):
     ) == 0
     ts = read_topology_set(tpath, source_graph_hash=graph.digest())
     assert ts == sample_lt(graph, 5, 3)
+
+
+def test_gen_topologies_bad_graph_file_exits_2(tmp_path):
+    gpath = tmp_path / "bad.graph"
+    gpath.write_text("graph 3 IC\nedge 0 5 0.5\n")
+    code = main(
+        ["gen-topologies", "--graph", str(gpath), "--samples", "2", "--seed", "1", "--out", str(tmp_path / "t.txt")]
+    )
+    assert code == 2

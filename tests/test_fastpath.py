@@ -5,7 +5,20 @@ import pytest
 
 from conftest import random_instance, random_topology
 
-from netvax import IC, LT, Graph, ProblemInstance, Topology, TopologySet, saved_on
+from netvax import (
+    IC,
+    LT,
+    Graph,
+    ProblemInstance,
+    Topology,
+    TopologySet,
+    enumerate_all,
+    generate_er,
+    greedy,
+    hill_climb,
+    local_search,
+    saved_on,
+)
 from netvax.errors import ModelMismatchError
 from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator, make_evaluator
 
@@ -106,13 +119,47 @@ def test_lt_evaluator_rejects_multi_parent_topologies():
         LtChainEvaluator(inst)
 
 
-def test_batch_total_chunk_boundary():
-    inst = random_instance(3, model=LT, n=10, p=0.3, s=4, n_infected=1, k=5)
-    fast = make_evaluator(inst, "structural")
-    ref = make_evaluator(inst, "bfs")
-    rng = np.random.default_rng(7)
-    sets = random_sets(rng, inst, count=LtChainEvaluator._CHUNK + 10)
-    assert fast.batch_total(sets) == ref.batch_total(sets)
+def enumerated_instance(seed, model, n=6, p=0.35, k=2):
+    """Small instance over every topology of a random graph, weighted by mu."""
+    rng = np.random.default_rng(seed)
+    graph = generate_er(n, p, model, int(rng.integers(1 << 30)))
+    ts = enumerate_all(graph)
+    assert len({t.mu for t in ts}) > 1
+    return ProblemInstance(graph, frozenset({int(rng.integers(n))}), k, ts)
+
+
+def swap_ties(instance, S):
+    """Check structural swap totals against bfs; count tied swaps of S."""
+    ref = make_evaluator(instance, "bfs")
+    fast = make_evaluator(instance, "structural")
+    ties = 0
+    for v in sorted(S):
+        ws = [w for w in instance.candidates() if w not in S]
+        values = ref.totals_with(S - {v}, ws)
+        assert list(fast.totals_with(S - {v}, ws)) == values
+        ties += len(values) - len(set(values))
+    return ties
+
+
+@pytest.mark.parametrize("model", [LT, IC])
+def test_structural_swap_search_matches_bfs(model):
+    ties = {"sampled": 0, "enumerated": 0}
+    for seed in range(6):
+        for kind, inst in (
+            ("sampled", random_instance(seed, model=model, n=12, p=0.25, s=5, n_infected=2, k=3)),
+            ("enumerated", enumerated_instance(seed, model)),
+        ):
+            cands = inst.candidates()
+            starts = {greedy(inst, "structural").vaccination.nodes, frozenset(cands[: inst.k])}
+            for S0 in starts:
+                ties[kind] += swap_ties(inst, S0)
+                for search in (local_search, hill_climb):
+                    ref = search(inst, S0, evaluation="bfs")
+                    fast = search(inst, S0, evaluation="structural")
+                    assert fast.vaccination == ref.vaccination
+                    assert fast.avg_saved == ref.avg_saved
+                    assert fast.iterations == ref.iterations
+    assert all(ties.values())
 
 
 def test_make_evaluator_modes():

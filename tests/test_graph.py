@@ -112,6 +112,13 @@ def test_read_graph_errors(tmp_path):
         read_graph(p)
 
 
+def test_read_graph_out_of_range_edge(tmp_path):
+    p = tmp_path / "bad.graph"
+    p.write_text("graph 3 IC\nedge 0 5 0.5\n")
+    with pytest.raises(FormatError, match="outside"):
+        read_graph(p)
+
+
 def test_digest_changes_with_content():
     g1 = Graph(2, [(0, 1, 0.5)], IC)
     g2 = Graph(2, [(0, 1, 0.25)], IC)

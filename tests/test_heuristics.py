@@ -17,7 +17,9 @@ from netvax import (
     local_search,
     sample_ic,
 )
+from netvax.bench import ExperimentConfig, build_instance
 from netvax.errors import ContractViolationError
+from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator
 from netvax.heuristics import greedy_trajectory
 
 
@@ -192,3 +194,50 @@ def test_improvement_chain_on_random_instances():
         g = greedy(inst)
         assert local_search(inst, g.vaccination).avg_saved >= g.avg_saved
         assert hill_climb(inst, g.vaccination).avg_saved >= g.avg_saved
+
+
+# --- structural swap neighbourhoods on IC ------------------------------------
+
+
+def ic_waxman_instance(seed):
+    cfg = ExperimentConfig(
+        model=IC, generator="waxman", n=40, centers=3, samples=20, seed=seed, alpha=0.05, beta=0.5
+    )
+    return build_instance(cfg, 0)
+
+
+def test_ic_structural_swaps_match_bfs():
+    # greedy's set is often already swap-optimal; the lowest-index set is not
+    for seed in range(3):
+        inst = ic_waxman_instance(seed)
+        starts = (greedy(inst, evaluation="structural").vaccination, inst.candidates()[: inst.k])
+        for start in starts:
+            for search in (local_search, hill_climb):
+                ref = search(inst, start, evaluation="bfs")
+                fast = search(inst, start, evaluation="structural")
+                assert fast.vaccination == ref.vaccination
+                assert fast.avg_saved == ref.avg_saved
+                assert fast.iterations == ref.iterations
+
+
+def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
+    calls = {"batch_total": 0, "dominator": 0}
+    batch_total = BfsEvaluator.batch_total
+    dominator_pass = IcDominatorEvaluator._dominator_pass
+
+    def counted_batch_total(self, sets):
+        calls["batch_total"] += 1
+        return batch_total(self, sets)
+
+    def counted_dominator_pass(self, *args):
+        calls["dominator"] += 1
+        return dominator_pass(self, *args)
+
+    monkeypatch.setattr(BfsEvaluator, "batch_total", counted_batch_total)
+    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_pass", counted_dominator_pass)
+    inst = ic_waxman_instance(0)
+    start = inst.candidates()[: inst.k]
+    for search in (local_search, hill_climb):
+        search(inst, start, evaluation="structural")
+    assert calls["batch_total"] == 0
+    assert calls["dominator"] > 0

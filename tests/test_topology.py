@@ -15,7 +15,7 @@ from netvax import (
     sample_lt,
     write_topology_set,
 )
-from netvax.errors import CapacityError, ModelMismatchError, ParameterError
+from netvax.errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 
 
 def lt_pair_graph():
@@ -208,6 +208,27 @@ def test_topology_set_round_trip_with_mu(tmp_path):
     write_topology_set(ts, path)
     back = read_topology_set(path, source_graph_hash=ts.source_graph_hash)
     assert back == ts
+
+
+def test_read_topology_set_out_of_range_edge_in_last_topology(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("toposet 3 2 0\ntopo 0\ne 0 1\ntopo 1\ne 0 7\n")
+    with pytest.raises(FormatError, match="line 4"):
+        read_topology_set(path)
+
+
+def test_read_topology_set_edge_before_first_topo(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("toposet 3 1 0\ne 0 1\ntopo 0\n")
+    with pytest.raises(FormatError, match="line 2"):
+        read_topology_set(path)
+
+
+def test_read_topology_set_checks_topo_index(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("toposet 3 2 0\ntopo 0\ne 0 1\ntopo 5\ne 1 2\n")
+    with pytest.raises(FormatError, match="line 4"):
+        read_topology_set(path)
 
 
 def test_weights_uniform_when_sampled():
