@@ -1,10 +1,6 @@
 """Linear-programming toolkit: model construction, solving, and rounding."""
 
 from .model import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    LinearConstraint,
     LpModel,
     LpSolution,
     build_model,
@@ -16,10 +12,6 @@ from .simplex import SimplexResult, solve_simplex
 from .solve import DEFAULT_NODE_CAP, ENGINES, solve, solve_blp
 
 __all__ = [
-    "EQUAL",
-    "GREATER_EQUAL",
-    "LESS_EQUAL",
-    "LinearConstraint",
     "LpModel",
     "LpSolution",
     "build_model",

@@ -10,6 +10,18 @@ The objective minimizes the weighted infected count over topologies.  For
 every live edge (j -> i) of topology t, infection propagates unless i is
 vaccinated: ``x(t, i) >= x(t, j) - I(i)``.  Seeds are pinned infected and
 unvaccinatable, and the vaccination total is capped by the budget.
+
+The model is held as arrays that every engine reads directly: one CSR
+matrix ``A`` (column indices sorted within each row), a right-hand side
+``rhs``, and a per-row ``eq`` mask; a row is ``A[r] @ x == rhs[r]`` where
+``eq[r]`` and ``A[r] @ x <= rhs[r]`` otherwise.  Rows come in build order:
+
+1. one row ``x(t, j) - x(t, i) - I(i) <= 0`` per live edge, topology by
+   topology, each in the topology's edge order;
+2. ``x(t, i) = 1`` for every topology t and infected i (ascending);
+3. ``I(i) = 0`` for every infected i (ascending);
+4. ``I(c) = 1`` for every ``pinned_ones`` entry, in the given order;
+5. the budget row ``sum of I(j) over non-infected j <= k``.
 """
 
 from __future__ import annotations
@@ -18,35 +30,35 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..errors import ParameterError
 from ..spread import ProblemInstance
 from ..util import fmt_float
 
-LESS_EQUAL = "<="
-GREATER_EQUAL = ">="
-EQUAL = "="
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    coeffs: tuple[tuple[int, float], ...]
-    relation: str
-    rhs: float
-
 
 @dataclass(frozen=True, eq=False)
 class LpModel:
-    num_vars: int
-    objective: tuple[float, ...]
-    constraints: tuple[LinearConstraint, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    objective: np.ndarray
+    A: csr_matrix
+    rhs: np.ndarray
+    eq: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     integral: frozenset[int]
-    var_meta: tuple[str, ...]
     n: int
     s: int
     budget: int
+
+    @property
+    def num_vars(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def constraints(self) -> range:
+        # One entry per row.  Only benchmark/tracing.py reads it, as
+        # ``len(model.constraints)``; everything else uses ``A`` directly.
+        return range(self.A.shape[0])
 
     def x_index(self, t: int, i: int) -> int:
         return t * self.n + i
@@ -54,21 +66,17 @@ class LpModel:
     def i_index(self, j: int) -> int:
         return self.s * self.n + j
 
+    def var_name(self, idx: int) -> str:
+        """``x[t=..,i=..]`` or ``I[j]`` for a variable index."""
+        if idx < self.s * self.n:
+            t, i = divmod(idx, self.n)
+            return f"x[t={t},i={i}]"
+        return f"I[{idx - self.s * self.n}]"
+
     def i_values(self, values) -> np.ndarray:
         """Slice the vaccination-indicator block out of a solution vector."""
         values = np.asarray(values)
         return values[self.s * self.n : self.s * self.n + self.n]
-
-    def equivalent(self, other: "LpModel") -> bool:
-        return (
-            self.num_vars == other.num_vars
-            and self.objective == other.objective
-            and self.constraints == other.constraints
-            and self.lower == other.lower
-            and self.upper == other.upper
-            and self.integral == other.integral
-            and self.var_meta == other.var_meta
-        )
 
 
 @dataclass(frozen=True)
@@ -90,60 +98,57 @@ def build_model(
     if s == 0:
         raise ParameterError("cannot build a model over an empty topology set")
     n = instance.n
-    infected = sorted(instance.infected)
-    weights = instance.topologies.weights()
-    num_vars = n * s + n
-
-    objective = [0.0] * num_vars
-    for t in range(s):
-        w = float(weights[t])
-        base = t * n
-        for i in range(n):
-            objective[base + i] = w
-
-    var_meta = []
-    for t in range(s):
-        var_meta.extend(f"x[t={t},i={i}]" for i in range(n))
-    var_meta.extend(f"I[{j}]" for j in range(n))
-
-    i_base = n * s
-    constraints: list[LinearConstraint] = []
-    for t, topo in enumerate(instance.topologies):
-        base = t * n
-        for (j, i) in topo.live_edges:
-            # x(t,i) >= x(t,j) - I(i)  <=>  x(t,j) - x(t,i) - I(i) <= 0
-            constraints.append(
-                LinearConstraint(
-                    coeffs=((base + j, 1.0), (base + i, -1.0), (i_base + i, -1.0)),
-                    relation=LESS_EQUAL,
-                    rhs=0.0,
-                )
-            )
-    for t in range(s):
-        base = t * n
-        for i in infected:
-            constraints.append(LinearConstraint(((base + i, 1.0),), EQUAL, 1.0))
-    for i in infected:
-        constraints.append(LinearConstraint(((i_base + i, 1.0),), EQUAL, 0.0))
-    for c in pinned_ones:
-        c = int(c)
+    infected = np.array(sorted(instance.infected), dtype=np.int64)
+    pins = [int(c) for c in pinned_ones]
+    for c in pins:
+        if not 0 <= c < n:
+            raise ParameterError(f"cannot pin node {c}: nodes lie in 0..{n - 1}")
         if c in instance.infected:
             raise ParameterError(f"cannot pin infected node {c} to vaccinated")
-        constraints.append(LinearConstraint(((i_base + c, 1.0),), EQUAL, 1.0))
-    budget_coeffs = tuple(
-        (i_base + j, 1.0) for j in range(n) if j not in instance.infected
-    )
-    constraints.append(LinearConstraint(budget_coeffs, LESS_EQUAL, float(instance.k)))
+    candidates = np.array(instance.candidates(), dtype=np.int64)
+    i_base = n * s
+    num_vars = i_base + n
 
-    integral = frozenset() if relaxed else frozenset(i_base + j for j in range(n))
+    # edge rows: x(t,j) - x(t,i) - I(i) <= 0 for each live edge (j -> i)
+    edges = [np.array(topo.live_edges, dtype=np.int64).reshape(-1, 2) for topo in instance.topologies]
+    base = np.repeat(np.arange(s, dtype=np.int64) * n, [len(e) for e in edges])
+    src, dst = np.concatenate(edges).T
+    num_edges = len(src)
+    edge_cols = np.column_stack([base + src, base + dst, i_base + dst]).ravel()
+    edge_vals = np.tile([1.0, -1.0, -1.0], num_edges)
+
+    # singleton equality rows: seed x pins, seed I pins, pinned_ones
+    seed_x = (np.arange(s, dtype=np.int64)[:, None] * n + infected[None, :]).ravel()
+    pin_cols = np.concatenate([seed_x, i_base + infected, i_base + np.array(pins, dtype=np.int64)])
+    pin_rhs = np.concatenate([np.ones(len(seed_x)), np.zeros(len(infected)), np.ones(len(pins))])
+    num_pins = len(pin_cols)
+
+    num_rows = num_edges + num_pins + 1
+    rows = np.concatenate(
+        [
+            np.repeat(np.arange(num_edges), 3),
+            np.arange(num_edges, num_edges + num_pins),
+            np.full(len(candidates), num_rows - 1),
+        ]
+    )
+    cols = np.concatenate([edge_cols, pin_cols, i_base + candidates])
+    vals = np.concatenate([edge_vals, np.ones(num_pins), np.ones(len(candidates))])
+    A = csr_matrix((vals, (rows, cols)), shape=(num_rows, num_vars))
+    rhs = np.concatenate([np.zeros(num_edges), pin_rhs, [float(instance.k)]])
+    eq = np.zeros(num_rows, dtype=bool)
+    eq[num_edges : num_edges + num_pins] = True
+
+    weights = instance.topologies.weights()
+    objective = np.concatenate([np.repeat(weights, n), np.zeros(n)])
+    integral = frozenset() if relaxed else frozenset(range(i_base, num_vars))
     return LpModel(
-        num_vars=num_vars,
-        objective=tuple(objective),
-        constraints=tuple(constraints),
-        lower=tuple([0.0] * num_vars),
-        upper=tuple([1.0] * num_vars),
+        objective=objective,
+        A=A,
+        rhs=rhs,
+        eq=eq,
+        lower=np.zeros(num_vars),
+        upper=np.ones(num_vars),
         integral=integral,
-        var_meta=tuple(var_meta),
         n=n,
         s=s,
         budget=instance.k,
@@ -155,51 +160,62 @@ def verify_solution(
 ) -> list[str]:
     """Residual feasibility check, independent of whichever solver produced values."""
     values = np.asarray(values, dtype=float)
-    problems = []
-    if len(values) != model.num_vars:
-        return [f"expected {model.num_vars} values, got {len(values)}"]
-    for idx, (v, lo, hi) in enumerate(zip(values, model.lower, model.upper)):
-        if v < lo - bound_tol or v > hi + bound_tol:
-            problems.append(f"{model.var_meta[idx]} = {v!r} outside [{lo}, {hi}]")
-    for ci, con in enumerate(model.constraints):
-        lhs = sum(coef * values[var] for var, coef in con.coeffs)
-        if con.relation == LESS_EQUAL and lhs > con.rhs + con_tol:
-            problems.append(f"constraint {ci}: {lhs!r} > {con.rhs!r}")
-        elif con.relation == GREATER_EQUAL and lhs < con.rhs - con_tol:
-            problems.append(f"constraint {ci}: {lhs!r} < {con.rhs!r}")
-        elif con.relation == EQUAL and abs(lhs - con.rhs) > con_tol:
-            problems.append(f"constraint {ci}: {lhs!r} != {con.rhs!r}")
+    if values.shape != (model.num_vars,):
+        return [f"expected {model.num_vars} values, got {values.size}"]
+    problems = [
+        f"{model.var_name(idx)} = {float(values[idx])!r} is not finite"
+        for idx in np.flatnonzero(~np.isfinite(values))
+    ]
+    outside = (values < model.lower - bound_tol) | (values > model.upper + bound_tol)
+    problems.extend(
+        f"{model.var_name(idx)} = {float(values[idx])!r} outside [{model.lower[idx]}, {model.upper[idx]}]"
+        for idx in np.flatnonzero(outside)
+    )
+    lhs = model.A @ values
+    excess = np.where(model.eq, np.abs(lhs - model.rhs), lhs - model.rhs)
+    problems.extend(
+        f"row {r}: {float(lhs[r])!r} {'!=' if model.eq[r] else '>'} {float(model.rhs[r])!r}"
+        for r in np.flatnonzero(excess > con_tol)
+    )
     return problems
 
 
 def write_lp_file(model: LpModel, path) -> None:
-    """Dump in the industry LP text layout for cross-checks with other solvers."""
-    names = [meta.replace("[", "_").replace("]", "").replace(",", "_").replace("=", "") for meta in model.var_meta]
+    """Dump in the industry LP text layout for cross-checks with other solvers.
 
-    def term(coef: float, name: str, first: bool) -> str:
-        sign = "-" if coef < 0 else ("" if first else "+")
-        mag = abs(coef)
-        return f"{sign} {fmt_float(mag)} {name}" if not first else f"{sign}{fmt_float(mag)} {name}"
+    Each row lists its positive terms, then its negative ones, each by
+    ascending variable index, so an edge row reads ``x(t,j) - x(t,i) - I(i)``.
+    """
 
-    lines = ["Minimize", " obj:"]
-    parts = []
-    for idx, coef in enumerate(model.objective):
-        if coef != 0.0:
-            parts.append(term(coef, names[idx], first=not parts))
-    lines[-1] += " " + " ".join(parts) if parts else " 0"
-    lines.append("Subject To")
-    rel_text = {LESS_EQUAL: "<=", GREATER_EQUAL: ">=", EQUAL: "="}
-    for ci, con in enumerate(model.constraints):
+    def name(idx: int) -> str:
+        return model.var_name(idx).replace("[", "_").replace("]", "").replace(",", "_").replace("=", "")
+
+    def terms(cols, coefs) -> str:
         parts = []
-        for var, coef in con.coeffs:
-            parts.append(term(coef, names[var], first=not parts))
-        lines.append(f" c{ci}: {' '.join(parts)} {rel_text[con.relation]} {fmt_float(con.rhs)}")
+        for idx, coef in zip(cols, coefs):
+            mag = fmt_float(abs(coef))
+            if coef < 0:
+                parts.append(f"- {mag} {name(idx)}" if parts else f"-{mag} {name(idx)}")
+            else:
+                parts.append(f"+ {mag} {name(idx)}" if parts else f"{mag} {name(idx)}")
+        return " ".join(parts)
+
+    nonzero = np.flatnonzero(model.objective)
+    lines = ["Minimize", " obj: " + (terms(nonzero, model.objective[nonzero]) or "0")]
+    lines.append("Subject To")
+    A = model.A
+    for r in range(A.shape[0]):
+        cols = A.indices[A.indptr[r] : A.indptr[r + 1]]
+        coefs = A.data[A.indptr[r] : A.indptr[r + 1]]
+        order = np.argsort(coefs < 0, kind="stable")
+        rel = "=" if model.eq[r] else "<="
+        lines.append(f" c{r}: {terms(cols[order], coefs[order])} {rel} {fmt_float(model.rhs[r])}")
     lines.append("Bounds")
     for idx in range(model.num_vars):
-        lines.append(f" {fmt_float(model.lower[idx])} <= {names[idx]} <= {fmt_float(model.upper[idx])}")
+        lines.append(f" {fmt_float(model.lower[idx])} <= {name(idx)} <= {fmt_float(model.upper[idx])}")
     if model.integral:
         lines.append("Binary")
-        lines.append(" " + " ".join(names[idx] for idx in sorted(model.integral)))
+        lines.append(" " + " ".join(name(idx) for idx in sorted(model.integral)))
     lines.append("End")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

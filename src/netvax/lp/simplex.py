@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import issparse
 
 from ..errors import ParameterError
-from .model import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearConstraint
 
 _TOL = 1e-9
 _FEAS_TOL = 1e-7
@@ -31,11 +31,18 @@ class SimplexResult:
 
 def solve_simplex(
     c,
-    constraints: list[LinearConstraint],
+    A,
+    rhs,
+    eq,
     lower,
     upper,
     max_iter: int = 200_000,
 ) -> SimplexResult:
+    """Minimize ``c @ x`` subject to ``A[r] @ x == rhs[r]`` where ``eq[r]``,
+    ``A[r] @ x <= rhs[r]`` elsewhere, and ``lower <= x <= upper``.
+
+    ``A`` is a dense or scipy-sparse (rows x variables) matrix.
+    """
     c = np.asarray(c, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -45,36 +52,21 @@ def solve_simplex(
     if np.any(upper < lower - _TOL):
         return SimplexResult("infeasible", None, None, 0)
 
-    m = len(constraints)
-    A = np.zeros((m, nv))
-    b = np.zeros(m)
-    rels = []
-    for r, con in enumerate(constraints):
-        for idx, coef in con.coeffs:
-            A[r, idx] += coef
-        b[r] = con.rhs
-        rels.append(con.relation)
+    A = A.toarray() if issparse(A) else np.asarray(A, dtype=float)
+    eq = np.asarray(eq, dtype=bool)
+    m = A.shape[0]
     # shift to y = x - lower so every variable has lower bound 0
-    b = b - A @ lower
+    b = np.asarray(rhs, dtype=float) - A @ lower
     u_struct = upper - lower
 
-    slack_of_row = [-1] * m
-    slack_sign = []
-    for r, rel in enumerate(rels):
-        if rel == LESS_EQUAL:
-            slack_of_row[r] = nv + len(slack_sign)
-            slack_sign.append((r, 1.0))
-        elif rel == GREATER_EQUAL:
-            slack_of_row[r] = nv + len(slack_sign)
-            slack_sign.append((r, -1.0))
-        elif rel != EQUAL:
-            raise ParameterError(f"unknown relation {rel!r}")
-
-    ns = len(slack_sign)
+    # one +1 slack column per <= row, in row order
+    slack_rows = np.flatnonzero(~eq)
+    ns = len(slack_rows)
+    slack_of_row = np.full(m, -1)
+    slack_of_row[slack_rows] = nv + np.arange(ns)
     T = np.zeros((m, nv + ns))
     T[:, :nv] = A
-    for k, (r, sign) in enumerate(slack_sign):
-        T[r, nv + k] = sign
+    T[slack_rows, slack_of_row[slack_rows]] = 1.0
     for r in range(m):
         if b[r] < 0.0:
             T[r] *= -1.0

@@ -14,11 +14,10 @@ import heapq
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from ..errors import ParameterError
 from ..spread import ProblemInstance, VaccinationSet
-from .model import EQUAL, GREATER_EQUAL, LESS_EQUAL, LpModel, LpSolution, build_model
+from .model import LpModel, LpSolution, build_model
 from .simplex import solve_simplex
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -28,73 +27,31 @@ _PRUNE_TOL = 1e-9
 ENGINES = ("highs", "simplex")
 
 
-class _ScipyForm:
-    """Constraint matrices prepared once per model; bounds vary per B&B node."""
-
-    def __init__(self, model: LpModel):
-        self.c = np.asarray(model.objective)
-        rows_ub: list[int] = []
-        cols_ub: list[int] = []
-        vals_ub: list[float] = []
-        rhs_ub: list[float] = []
-        rows_eq: list[int] = []
-        cols_eq: list[int] = []
-        vals_eq: list[float] = []
-        rhs_eq: list[float] = []
-        for con in model.constraints:
-            if con.relation == EQUAL:
-                r = len(rhs_eq)
-                rhs_eq.append(con.rhs)
-                for var, coef in con.coeffs:
-                    rows_eq.append(r)
-                    cols_eq.append(var)
-                    vals_eq.append(coef)
-            else:
-                sign = 1.0 if con.relation == LESS_EQUAL else -1.0
-                r = len(rhs_ub)
-                rhs_ub.append(sign * con.rhs)
-                for var, coef in con.coeffs:
-                    rows_ub.append(r)
-                    cols_ub.append(var)
-                    vals_ub.append(sign * coef)
-        nv = model.num_vars
-        self.A_ub = (
-            csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(len(rhs_ub), nv))
-            if rhs_ub
-            else None
-        )
-        self.b_ub = np.asarray(rhs_ub) if rhs_ub else None
-        self.A_eq = (
-            csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(rhs_eq), nv))
-            if rhs_eq
-            else None
-        )
-        self.b_eq = np.asarray(rhs_eq) if rhs_eq else None
-
-
-def _solve_relaxed(model, engine, form, lower, upper):
+def _solve_relaxed(model, engine, lower, upper):
     """One relaxed solve under the given bounds; returns (status, values, objective)."""
+    c = model.objective
     if engine == "highs":
+        ub, eq = ~model.eq, model.eq
         res = linprog(
-            form.c,
-            A_ub=form.A_ub,
-            b_ub=form.b_ub,
-            A_eq=form.A_eq,
-            b_eq=form.b_eq,
+            c,
+            A_ub=model.A[ub],
+            b_ub=model.rhs[ub],
+            A_eq=model.A[eq],
+            b_eq=model.rhs[eq],
             bounds=np.column_stack([lower, upper]),
             method="highs",
         )
         if res.status == 0:
             values = np.clip(res.x, lower, upper)
-            return "optimal", values, float(np.dot(form.c, values))
+            return "optimal", values, float(np.dot(c, values))
         if res.status == 2:
             return "infeasible", None, None
         return "capacity", None, None
     if engine == "simplex":
-        res = solve_simplex(form.c, list(model.constraints), lower, upper)
+        res = solve_simplex(c, model.A, model.rhs, model.eq, lower, upper)
         if res.status == "optimal":
             values = np.clip(res.x, lower, upper)
-            return "optimal", values, float(np.dot(form.c, values))
+            return "optimal", values, float(np.dot(c, values))
         if res.status == "unbounded":
             raise RuntimeError("unbounded LP; infection models are box-bounded")
         return res.status, None, None
@@ -103,23 +60,20 @@ def _solve_relaxed(model, engine, form, lower, upper):
 
 def _pinned_values(model: LpModel) -> tuple[set[int], set[int]]:
     """Integral variables forced to 0 or 1 by singleton equality rows."""
-    must0: set[int] = set()
-    must1: set[int] = set()
-    for con in model.constraints:
-        if con.relation == EQUAL and len(con.coeffs) == 1:
-            var, coef = con.coeffs[0]
-            if var in model.integral and coef != 0.0:
-                val = con.rhs / coef
-                if abs(val) <= _INT_TOL:
-                    must0.add(var)
-                elif abs(val - 1.0) <= _INT_TOL:
-                    must1.add(var)
+    A = model.A
+    single = np.flatnonzero(model.eq & (np.diff(A.indptr) == 1))
+    var = A.indices[A.indptr[single]]
+    coef = A.data[A.indptr[single]]
+    keep = (coef != 0.0) & np.isin(var, list(model.integral))
+    var, val = var[keep], model.rhs[single][keep] / coef[keep]
+    must0 = {int(v) for v in var[np.abs(val) <= _INT_TOL]}
+    must1 = {int(v) for v in var[np.abs(val - 1.0) <= _INT_TOL]}
     return must0, must1
 
 
 def _bounds_for(model, fixed0, fixed1):
-    lower = np.asarray(model.lower, dtype=float).copy()
-    upper = np.asarray(model.upper, dtype=float).copy()
+    lower = model.lower.copy()
+    upper = model.upper.copy()
     if fixed0:
         upper[list(fixed0)] = 0.0
     if fixed1:
@@ -128,12 +82,11 @@ def _bounds_for(model, fixed0, fixed1):
 
 
 def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
-    form = _ScipyForm(model)
     int_vars = sorted(model.integral)
     must0, must1 = _pinned_values(model)
 
     lower, upper = _bounds_for(model, (), ())
-    status, values, objective = _solve_relaxed(model, engine, form, lower, upper)
+    status, values, objective = _solve_relaxed(model, engine, lower, upper)
     if status != "optimal":
         return LpSolution(status=status, values=(), objective=float("nan"))
 
@@ -145,7 +98,7 @@ def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
         fixed1 = frozenset(assignment1 | must1)
         fixed0 = frozenset(v for v in int_vars if v not in fixed1)
         lo, hi = _bounds_for(model, fixed0, fixed1)
-        st, vals, obj = _solve_relaxed(model, engine, form, lo, hi)
+        st, vals, obj = _solve_relaxed(model, engine, lo, hi)
         if st == "optimal" and obj < incumbent_obj:
             incumbent_values, incumbent_obj = vals, obj
 
@@ -171,7 +124,7 @@ def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
                 objective=incumbent_obj if incumbent_values is not None else float("nan"),
             )
         lo, hi = _bounds_for(model, fixed0, fixed1)
-        status, values, objective = _solve_relaxed(model, engine, form, lo, hi)
+        status, values, objective = _solve_relaxed(model, engine, lo, hi)
         if status != "optimal" or objective >= incumbent_obj - _PRUNE_TOL:
             continue
         branch_var = -1
@@ -204,9 +157,8 @@ def solve(model: LpModel, engine: str = "highs", node_cap: int = DEFAULT_NODE_CA
         raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if model.integral:
         return _branch_and_bound(model, engine, node_cap)
-    form = _ScipyForm(model)
     lower, upper = _bounds_for(model, (), ())
-    status, values, objective = _solve_relaxed(model, engine, form, lower, upper)
+    status, values, objective = _solve_relaxed(model, engine, lower, upper)
     if status != "optimal":
         return LpSolution(status=status, values=(), objective=float("nan"))
     return LpSolution(status="optimal", values=tuple(values), objective=objective)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from netvax import (
     IC,
@@ -14,6 +15,11 @@ from netvax import (
     sample_ic,
     sample_lt,
 )
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic; solver calls have no per-example deadline.
+settings.register_profile("netvax", derandomize=True, deadline=None)
+settings.load_profile("netvax")
 
 
 def path_graph(values, model):

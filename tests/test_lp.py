@@ -1,5 +1,7 @@
 """Model construction, exact solving, and the rounding procedures."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,16 @@ from netvax import (
 )
 from netvax.errors import ParameterError
 from netvax.generators import generate_er
-from netvax.lp.model import EQUAL, LESS_EQUAL, LpSolution
+from netvax.lp.model import LpSolution
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "lp"
+
+
+def row(model, r):
+    """Row r as {variable index: coefficient}."""
+    A = model.A
+    lo, hi = A.indptr[r], A.indptr[r + 1]
+    return dict(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist()))
 
 
 # --- build_model -----------------------------------------------------------
@@ -35,8 +46,11 @@ def test_variable_count():
     inst = random_instance(1, n=7, s=3)
     model = build_model(inst, relaxed=True)
     assert model.num_vars == 7 * 3 + 7
-    assert len(model.var_meta) == model.num_vars
-    assert model.var_meta[model.i_index(0)] == "I[0]"
+    assert model.A.shape[1] == model.num_vars
+    for vec in (model.objective, model.lower, model.upper):
+        assert vec.shape == (model.num_vars,)
+    assert model.var_name(model.i_index(0)) == "I[0]"
+    assert model.var_name(model.x_index(2, 6)) == "x[t=2,i=6]"
 
 
 def test_empty_topology_set_rejected():
@@ -66,7 +80,13 @@ def test_zero_budget_matches_unvaccinated_spread():
 
 def test_build_deterministic():
     inst = random_instance(2, n=6, s=2)
-    assert build_model(inst, relaxed=True).equivalent(build_model(inst, relaxed=True))
+    a, b = build_model(inst, relaxed=True), build_model(inst, relaxed=True)
+    for name in ("objective", "rhs", "eq", "lower", "upper"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.A, name), getattr(b.A, name)), name
+    assert a.A.shape == b.A.shape
+    assert a.integral == b.integral
 
 
 def test_integrality_marks():
@@ -80,32 +100,35 @@ def test_integrality_marks():
 def test_seed_pins_and_budget_row():
     inst = single_topology_instance(4, [(0, 1), (1, 2)], infected={0}, k=2)
     model = build_model(inst, relaxed=True)
-    pins = [c for c in model.constraints if c.relation == EQUAL]
+    pins = np.flatnonzero(model.eq)
     # x(0, seed) = 1 and I(seed) = 0
-    assert (((model.x_index(0, 0), 1.0),), EQUAL, 1.0) == (
-        pins[0].coeffs,
-        pins[0].relation,
-        pins[0].rhs,
-    )
-    assert any(c.coeffs == ((model.i_index(0), 1.0),) and c.rhs == 0.0 for c in pins)
-    budget = model.constraints[-1]
-    assert budget.relation == LESS_EQUAL
-    assert budget.rhs == 2.0
-    assert {v for v, _ in budget.coeffs} == {model.i_index(j) for j in range(1, 4)}
+    assert row(model, pins[0]) == {model.x_index(0, 0): 1.0}
+    assert model.rhs[pins[0]] == 1.0
+    assert any(row(model, r) == {model.i_index(0): 1.0} and model.rhs[r] == 0.0 for r in pins)
+    budget = model.A.shape[0] - 1
+    assert not model.eq[budget]
+    assert model.rhs[budget] == 2.0
+    assert row(model, budget) == {model.i_index(j): 1.0 for j in range(1, 4)}
 
 
 def test_edge_constraint_shape():
     inst = single_topology_instance(3, [(0, 1)], infected={0}, k=1)
     model = build_model(inst, relaxed=True)
-    con = model.constraints[0]
     # x(t,src) - x(t,dst) - I(dst) <= 0
-    assert con.relation == LESS_EQUAL
-    assert con.rhs == 0.0
-    assert dict(con.coeffs) == {
+    assert not model.eq[0]
+    assert model.rhs[0] == 0.0
+    assert row(model, 0) == {
         model.x_index(0, 0): 1.0,
         model.x_index(0, 1): -1.0,
         model.i_index(1): -1.0,
     }
+
+
+@pytest.mark.parametrize("pin", [-1, 4, 7])
+def test_pin_outside_node_range_rejected(pin):
+    inst = single_topology_instance(4, [(0, 1), (1, 2)], infected={0}, k=2)
+    with pytest.raises(ParameterError):
+        build_model(inst, relaxed=True, pinned_ones=[pin])
 
 
 def test_lp_file_dump(tmp_path):
@@ -119,6 +142,18 @@ def test_lp_file_dump(tmp_path):
     relaxed_path = tmp_path / "relaxed.lp"
     write_lp_file(build_model(inst, relaxed=True), relaxed_path)
     assert "Binary" not in relaxed_path.read_text()
+
+
+@pytest.mark.parametrize(
+    "name, relaxed, pinned",
+    [("binary", False, ()), ("relaxed", True, ()), ("pinned", True, (2, 3))],
+)
+def test_lp_file_text_is_stable(tmp_path, name, relaxed, pinned):
+    # two infected nodes (0 and 1) and LT topologies with edges into seeds
+    inst = random_instance(3, n=6, s=2, n_infected=2, k=2)
+    path = tmp_path / f"{name}.lp"
+    write_lp_file(build_model(inst, relaxed=relaxed, pinned_ones=pinned), path)
+    assert path.read_text() == (GOLDEN / f"{name}.lp").read_text()
 
 
 # --- solve -----------------------------------------------------------------
@@ -203,9 +238,36 @@ def test_verify_solution_flags_tampering():
     inst = single_topology_instance(3, [(0, 1), (1, 2)], infected={0}, k=1)
     model = build_model(inst, relaxed=True)
     sol = solve(model)
-    values = np.array(sol.values)
+    good = np.array(sol.values)
+    assert verify_solution(model, good) == []
+    assert good[model.i_index(1)] == pytest.approx(1.0)  # the unique optimum
+    pin = np.flatnonzero(model.eq)[0]  # x(0, seed) = 1
+    budget = model.A.shape[0] - 1
+
+    values = good.copy()
     values[model.x_index(0, 0)] = 0.0  # break the seed pin
-    assert verify_solution(model, values)
+    assert verify_solution(model, values) == [f"row {pin}: 0.0 != 1.0"]
+
+    values = good.copy()
+    values[model.i_index(1)] = 0.0  # the seed now reaches node 1, but x(0, 1) = 0
+    assert verify_solution(model, values) == ["row 0: 1.0 > 0.0"]
+
+    values = good.copy()
+    values[model.i_index(2)] = 1.0  # two vaccines against a budget of one
+    assert verify_solution(model, values) == [f"row {budget}: 2.0 > 1.0"]
+
+    values = good.copy()
+    values[model.x_index(0, 2)] = 1.5
+    assert verify_solution(model, values) == ["x[t=0,i=2] = 1.5 outside [0.0, 1.0]"]
+
+
+def test_verify_solution_reports_non_finite_values():
+    inst = single_topology_instance(3, [(0, 1), (1, 2)], infected={0}, k=1)
+    model = build_model(inst, relaxed=True)
+    assert len(verify_solution(model, np.full(model.num_vars, np.nan))) >= model.num_vars
+    values = np.array(solve(model).values)
+    values[model.x_index(0, 2)] = np.nan
+    assert verify_solution(model, values) == ["x[t=0,i=2] = nan is not finite"]
 
 
 # --- rounding --------------------------------------------------------------

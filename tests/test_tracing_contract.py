@@ -48,3 +48,13 @@ def test_tracer_installs_and_restores(tracing):
         tracer.uninstall()
     after = {key: getattr(fastpath, key[0]).__dict__[key[1]] for key in before}
     assert after == before
+
+
+def test_model_size_counts_every_variable_and_row(tracing):
+    from conftest import random_instance
+
+    from netvax import build_model
+
+    inst = random_instance(5, n=7, s=3, n_infected=2, k=2)
+    model = build_model(inst, relaxed=True, pinned_ones=inst.candidates()[:1])
+    assert tracing._model_size((), model) == {"vars": 7 * 3 + 7, "rows": model.A.shape[0]}
