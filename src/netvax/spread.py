@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolationError, ParameterError
-from .graph import Graph
+from .errors import CapacityError, ContractViolationError, ModelMismatchError, ParameterError
+from .graph import LT, Graph
 from .topology import Topology, TopologySet
 from .util import as_rng
 
@@ -53,6 +53,15 @@ class ProblemInstance:
             raise ParameterError("budget k must satisfy 0 <= k <= n - |infected|")
         if self.topologies.topologies and self.topologies.n != n:
             raise ParameterError("topology node count does not match the graph")
+        if self.graph.model == LT:
+            for t, topo in enumerate(self.topologies):
+                heads = set()
+                for _, dst in topo.live_edges:
+                    if dst in heads:
+                        raise ModelMismatchError(
+                            f"LT topology {t}: node {dst} has two incoming live edges"
+                        )
+                    heads.add(dst)
 
     @property
     def n(self) -> int:

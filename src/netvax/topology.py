@@ -48,13 +48,6 @@ class Topology:
     def out(self) -> tuple[tuple[int, ...], ...]:
         return self._out
 
-    def in_parents(self) -> list[list[int]]:
-        """Incoming live sources per node (unsorted)."""
-        parents: list[list[int]] = [[] for _ in range(self.n)]
-        for s, d in self.live_edges:
-            parents[d].append(s)
-        return parents
-
     def __eq__(self, other):
         if not isinstance(other, Topology):
             return NotImplemented

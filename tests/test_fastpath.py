@@ -1,7 +1,10 @@
 """The structural evaluators must match BFS re-evaluation exactly."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance, random_topology
 
@@ -114,9 +117,8 @@ def test_lt_evaluator_rejects_multi_parent_topologies():
     topo = Topology(3, [(0, 2), (1, 2)])
     ts = TopologySet([topo], "", 0)
     graph = Graph(3, [(0, 2, 0.3), (1, 2, 0.3)], LT)
-    inst = ProblemInstance(graph, frozenset({0}), 1, ts)
     with pytest.raises(ModelMismatchError):
-        LtChainEvaluator(inst)
+        ProblemInstance(graph, frozenset({0}), 1, ts)
 
 
 def enumerated_instance(seed, model, n=6, p=0.35, k=2):
@@ -183,3 +185,79 @@ def test_ic_gains_with_dense_cycles():
         inst = ProblemInstance(graph, frozenset({0, 1}), 3, ts)
         fast = IcDominatorEvaluator(inst)
         assert np.array_equal(fast.gains(set()), naive_gains(inst, set()))
+
+
+def dominator_oracle(topo, infected, S):
+    """(saved, gain counts) of one topology from networkx's dominator tree.
+
+    The flowgraph is the live-edge graph without the nodes of S, plus a
+    super-source n feeding every seed; a node's gain is the number of
+    reached nodes it dominates, itself included, and 0 for seeds.
+    """
+    n = topo.n
+    g = nx.DiGraph()
+    g.add_node(n)
+    g.add_edges_from((n, i) for i in infected if i not in S)
+    g.add_edges_from((a, b) for a, b in topo.live_edges if a not in S and b not in S)
+    idom = nx.immediate_dominators(g, n)
+    reached = [u for u in idom if u != n]
+    counts = np.zeros(n, dtype=np.int64)
+    for u in reached:
+        while u != n:
+            if u not in infected:
+                counts[u] += 1
+            u = idom[u]
+    return n - len(reached), counts
+
+
+@st.composite
+def dominator_cases(draw):
+    """IC instances around the packed-word boundary with adversarial shapes."""
+    n = draw(st.sampled_from([63, 64, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = [int(v) for v in rng.choice(n, size=draw(st.integers(0, 3)), replace=False)]
+    others = [v for v in range(n) if v not in seeds]
+    topologies = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.08]))  # 0.0: an empty topology
+        edges = set(random_topology(rng, n, p).live_edges)
+        if draw(st.booleans()):  # seeds with in-edges from other seeds
+            edges |= set(zip(seeds, seeds[1:] + seeds[:1])) - {(v, v) for v in seeds}
+        if draw(st.booleans()):  # a cycle without seeds
+            ring = [int(v) for v in rng.choice(others, size=min(5, len(others)), replace=False)]
+            edges |= set(zip(ring, ring[1:] + ring[:1]))
+        topologies.append(Topology(n, sorted(edges)))
+    graph = Graph(n, [], IC)
+    inst = ProblemInstance(graph, frozenset(seeds), 0, TopologySet(topologies, "", 0))
+    kind = draw(st.sampled_from(["empty", "random", "all"]))
+    if kind == "all":
+        S = frozenset(others)
+    elif kind == "random":
+        S = frozenset(int(v) for v in rng.choice(others, size=int(rng.integers(1, 9)), replace=False))
+    else:
+        S = frozenset()
+    return inst, S
+
+
+@settings(max_examples=150)
+@given(dominator_cases())
+def test_ic_dominator_kernel_matches_networkx(case):
+    inst, S = case
+    saved, gain_counts = IcDominatorEvaluator(inst)._dominator_pass(S)
+    for t, topo in enumerate(inst.topologies):
+        expected_saved, expected_counts = dominator_oracle(topo, inst.infected, S)
+        assert saved[t] == expected_saved
+        assert np.array_equal(gain_counts[t], expected_counts)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**20), data=st.data())
+def test_ic_kernel_equals_bfs_on_enumerated_instance(seed, data):
+    # mu-weighted floats must agree bit for bit, ties included
+    inst = enumerated_instance(seed, IC)
+    S = frozenset(data.draw(st.lists(st.sampled_from(inst.candidates()), max_size=3, unique=True)))
+    ref = BfsEvaluator(inst)
+    fast = IcDominatorEvaluator(inst)
+    assert np.array_equal(fast.gains(S), ref.gains(S))
+    ws = [w for w in inst.candidates() if w not in S]
+    assert list(fast.totals_with(S, ws)) == ref.totals_with(S, ws)
