@@ -117,6 +117,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ParameterError("budget_fraction must lie in (0, 1]")
     if config.samples < 1:
         raise ParameterError("samples must be at least 1")
+    if config.seed < 0:
+        raise ParameterError("seed must be non-negative")
     if config.repetitions < 1:
         raise ParameterError("repetitions must be at least 1")
     if not config.algorithms:
@@ -134,8 +136,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ParameterError("er_p must lie in [0, 1]")
     if config.generator == "waxman" and not (1 <= config.centers <= config.n):
         raise ParameterError("need n >= centers >= 1")
-    if not (0.0 < config.variance_lo <= config.variance_hi):
-        raise ParameterError("variance range must be positive and ordered")
+    if not (0.0 < config.variance_lo <= config.variance_hi < math.inf):
+        raise ParameterError("variance range must be finite, positive and ordered")
     if config.generator == "city" and not config.csv_path:
         raise ParameterError("city generator requires csv_path")
     WaxmanParams(config.alpha, config.beta, config.box_side)  # raises on bad values

@@ -1,33 +1,35 @@
 """Spread evaluators used by the search heuristics.
 
-Two interchangeable strategies:
+Every evaluator supplies one method, ``_counts(S, candidates)``: per
+topology, the integer saved count of S and the integer gain of vaccinating
+each candidate in addition to S.  ``gains`` and ``totals_with`` are written
+once, on ``BfsEvaluator``, and reduce those counts through
+``_weighted_total``, so every evaluator produces the same floats bit for
+bit, on mu-weighted (enumerated) instances too.  Two strategies supply the
+counts:
 
-* ``bfs`` re-runs a reachability pass per candidate set per topology, exactly
-  as the greedy/local-search pseudocode is usually stated.  It is the
-  reference for timing comparisons.
-* ``structural`` exploits topology structure for identical counts at lower
-  cost: LT realizations have at most one incoming live edge per node, so the
-  infected set forms a forest rooted at the seeds and the marginal gain of
-  vaccinating a node is its infected-subtree size; for IC realizations the
-  gain of a node is the number of infected nodes it dominates on the
-  reachability flowgraph.  IC solves that dominator dataflow for all
-  topologies in one batched numpy pass per gains call, over a bitset table
-  of ``s * (n + 1) * (n // 64 + 1) * 8`` bytes, and keeps no cache between
-  calls.
+* ``bfs`` runs one reachability pass per (topology, candidate), exactly as
+  the greedy/local-search pseudocode is usually stated.  It is the reference
+  for timing comparisons.
+* ``structural`` runs one dominator kernel for both models.  Vaccinating v
+  saves exactly the infected nodes that v dominates on the reachability
+  flowgraph, where a virtual super-source feeds the seeds.  The kernel solves
+  that dataflow for all topologies in one batched numpy pass per call, over a
+  bitset table of ``s * (n + 1) * (n // 64 + 1) * 8`` bytes, and keeps no
+  cache between calls.  An LT realization gives each node at most one live
+  parent, so its dominator tree is the live-edge forest itself, a node's gain
+  is its infected-subtree size, and the kernel finishes in one sweep.
 
 A swap neighbourhood needs, for each removed node v, the totals of
-``(S - {v}) | {w}`` over the replacements w: ``totals_with(S - {v}, ws)``.
-``bfs`` evaluates each of those sets literally.  The structural evaluators
-compute the per-topology saved count of ``S - {v}`` and the per-topology gain
-of every node once, and add them, so one removed node costs one gains pass.
-
-Both strategies are exact; tests assert they return equal counts.  Every
-float comes from ``_weighted_total`` over per-topology integer counts, so the
-strategies agree bit for bit, on mu-weighted (enumerated) instances too.
+``(S - {v}) | {w}`` over the replacements w: ``totals_with(S - {v}, ws)``,
+which is ``saved(S - {v}) + gain(S - {v})[w]`` in every topology.  ``bfs``
+traverses each of those sets literally; ``structural`` answers all of them
+from one kernel pass.  Set totals use BFS in both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -59,7 +61,11 @@ def _weighted_total(per_topology, mu: np.ndarray | None):
 
 
 class BfsEvaluator:
-    """Reachability-based evaluation with reusable visitation buffers."""
+    """Reachability-based evaluation with reusable visitation buffers.
+
+    The base of every evaluator: a subclass replaces ``_counts`` and keeps
+    the set totals and the reductions defined here.
+    """
 
     name = "bfs"
 
@@ -74,8 +80,7 @@ class BfsEvaluator:
         self._vis = [0] * self.n
         self._epoch = 0
 
-    def _infected_order(self, out, blocked, extra=-1) -> list[int]:
-        """Infected nodes of one topology, each listed after its infector."""
+    def _saved_one(self, out, blocked, extra=-1) -> int:
         self._epoch += 1
         epoch = self._epoch
         vis = self._vis
@@ -83,22 +88,20 @@ class BfsEvaluator:
             vis[v] = epoch
         if extra >= 0:
             vis[extra] = epoch
-        order = []
+        count = 0
+        stack = []
         for i in self.infected:
             if vis[i] != epoch:
                 vis[i] = epoch
-                order.append(i)
-        stack = list(order)
+                count += 1
+                stack.append(i)
         while stack:
             for w in out[stack.pop()]:
                 if vis[w] != epoch:
                     vis[w] = epoch
-                    order.append(w)
+                    count += 1
                     stack.append(w)
-        return order
-
-    def _saved_one(self, out, blocked, extra=-1) -> int:
-        return self.n - len(self._infected_order(out, blocked, extra))
+        return self.n - count
 
     def per_topology_saved(self, S) -> list[int]:
         blocked = list(S)
@@ -108,110 +111,42 @@ class BfsEvaluator:
         return _weighted_total(self.per_topology_saved(S), self.mu)
 
     def batch_total(self, candidate_sets) -> list[float]:
+        # no caller in the package; the benchmark's tracer wraps it by name
         return [self.total_saved(S) for S in candidate_sets]
 
-    def totals_with(self, base, candidates) -> list[float]:
-        """Total saved of ``base | {w}`` for each candidate w, set by set."""
-        base = frozenset(base)
-        return self.batch_total([base | {w} for w in candidates])
+    def _counts(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
+        """Per topology, the saved count of S and each candidate's gain on it.
 
-    def gains(self, S) -> np.ndarray:
-        """Marginal gain of adding each candidate node, full re-evaluation."""
-        S = set(S)
-        base = _weighted_total(self.per_topology_saved(S), self.mu)
+        One traversal per (topology, candidate), with the candidate vaccinated
+        alongside S.
+        """
         blocked = list(S)
-        out = np.full(self.n, -math.inf)
-        for v in range(self.n):
-            if v in S or v in self._infected_set:
-                continue
-            per = [self._saved_one(adj, blocked, extra=v) for adj in self.outs]
-            out[v] = _weighted_total(per, self.mu) - base
-        return out
-
-
-class _StructuralEvaluator(BfsEvaluator):
-    """Shared reductions of the structural evaluators.
-
-    A subclass supplies ``_counts(S)``: per topology, the integer saved count
-    of S and the integer gain of vaccinating each node in addition to S.
-    Gains and swap totals both reduce those counts with ``_weighted_total``,
-    as totals of ``S | {w}``, the way ``bfs`` does.
-    Each concrete class defines its own ``gains`` so that the benchmark's
-    tracer, which wraps methods by class and name, finds it there.
-    """
-
-    def _counts(self, S) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def _masked_gains(self, S) -> np.ndarray:
-        # total(S | {v}) - total(S), each reduced as ``bfs`` reduces it, so
-        # the floats match bit for bit on mu-weighted instances too
-        saved, gain_counts = self._counts(S)
-        with_each = _weighted_total(gain_counts + saved[:, None], self.mu)
-        gains = with_each - _weighted_total(saved, self.mu)
-        mask = list(set(S) | self._infected_set)
-        if mask:
-            gains[mask] = -math.inf
-        return gains
+        saved = np.array(self.per_topology_saved(blocked), dtype=np.int64)
+        with_each = np.array(
+            [[self._saved_one(out, blocked, extra=w) for w in candidates] for out in self.outs],
+            dtype=np.int64,
+        ).reshape(len(self.outs), len(candidates))
+        return saved, with_each - saved[:, None]
 
     def totals_with(self, base, candidates) -> np.ndarray:
-        # saved(base | {w}) = saved(base) + gain(base)[w] in every topology
-        saved, gain_counts = self._counts(base)
-        return _weighted_total(gain_counts[:, list(candidates)] + saved[:, None], self.mu)
-
-
-class LtChainEvaluator(_StructuralEvaluator):
-    """Exact LT evaluation via the per-node incoming-parent structure.
-
-    Every node has at most one possible infector per realization, so the
-    infected nodes of a topology form a forest hanging off the seeds, and
-    the gain of vaccinating an infected node is the size of its subtree.
-    One traversal from the seeds per topology, stopping at vaccinated nodes,
-    yields both the saved count and every node's gain, so a gains vector and
-    the swap totals of one removed node each cost one pass over the
-    topologies.  Set totals use the inherited traversal alone.
-    """
-
-    name = "structural"
-
-    def __init__(self, instance: ProblemInstance):
-        super().__init__(instance)
-        n = self.n
-        self._parent_lists = []
-        for topo in instance.topologies:  # ProblemInstance admits one parent per node
-            parent = [n] * n
-            for src, dst in topo.live_edges:
-                parent[dst] = src
-            self._parent_lists.append(parent)
-        self._seed = bytearray(n)
-        for i in self.infected:
-            self._seed[i] = 1
-
-    def batch_total(self, candidate_sets) -> list[float]:
-        # Defined on this class, not only inherited, so that the benchmark's
-        # tracer can wrap LT set evaluation by name.
-        return [self.total_saved(S) for S in candidate_sets]
-
-    def _counts(self, S) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
-        seed = self._seed
-        saved = np.empty(len(self.outs), dtype=np.int64)
-        gain_counts = np.empty((len(self.outs), n), dtype=np.int64)
-        for t, (out, parent) in enumerate(zip(self.outs, self._parent_lists)):
-            order = self._infected_order(out, S)
-            saved[t] = n - len(order)
-            size = [0] * n
-            for u in reversed(order):  # every subtree before its root
-                if not seed[u]:
-                    size[u] += 1
-                    par = parent[u]
-                    if not seed[par]:
-                        size[par] += size[u]
-            gain_counts[t] = size
-        return saved, gain_counts
+        """Total saved of ``base | {w}`` for each candidate w."""
+        saved, gain_counts = self._counts(base, candidates)
+        return _weighted_total(gain_counts + saved[:, None], self.mu)
 
     def gains(self, S) -> np.ndarray:
-        return self._masked_gains(S)
+        """Marginal gain of vaccinating each node in addition to S.
+
+        ``total(S | {v}) - total(S)``, each total reduced on its own, so the
+        floats match across evaluators; -inf where v is in S or infected.
+        """
+        S = set(S)
+        candidates = [v for v in range(self.n) if v not in S and v not in self._infected_set]
+        saved, gain_counts = self._counts(S, candidates)
+        out = np.full(self.n, -math.inf)
+        out[candidates] = (
+            _weighted_total(gain_counts + saved[:, None], self.mu) - _weighted_total(saved, self.mu)
+        )
+        return out
 
 
 def _bit(nodes):
@@ -219,15 +154,16 @@ def _bit(nodes):
     return np.uint64(1) << (np.asarray(nodes) & 63).astype(np.uint64)
 
 
-class IcDominatorEvaluator(_StructuralEvaluator):
-    """IC gains via dominator subtree counts on the reachability flowgraph.
+class IcDominatorEvaluator(BfsEvaluator):
+    """Gains via dominator subtree counts on the reachability flowgraph.
 
     A node u is saved by vaccinating v exactly when every live path from the
     seeds to u passes through v, i.e. v dominates u with respect to a virtual
-    super-source feeding all seeds.  Each gains call solves the dominator
-    dataflow ``Dom(u) = {u} | AND of Dom(p) over predecessors p`` (Cooper,
-    Harvey & Kennedy) for every topology at once, with no cache between
-    calls; set totals still use BFS.
+    super-source feeding all seeds.  Each ``_counts`` call solves the
+    dominator dataflow ``Dom(u) = {u} | AND of Dom(p) over predecessors p``
+    (Cooper, Harvey & Kennedy) for every topology at once, with no cache
+    between calls.  The kernel serves IC and LT alike; see
+    ``LtChainEvaluator``.
 
     ``Dom(u)`` is a packed bitset of ``n // 64 + 1`` uint64 words, one row
     per (topology, node) that some seed reaches when nothing is vaccinated,
@@ -236,7 +172,9 @@ class IcDominatorEvaluator(_StructuralEvaluator):
     The table takes about ``s * (n + 1) * (n // 64 + 1) * 8`` bytes (1.8 MB
     at n=512, s=50).  Rows are ordered by the BFS level of their node, then
     by falling in-degree, so the AND of one level's rows over their j-th
-    predecessors is one ``take`` into a prefix of the level's rows.
+    predecessors is one ``take`` into a prefix of the level's rows.  A level
+    sweep repeats until nothing changes, unless every predecessor lies on a
+    lower level: then the first sweep is final.
     """
 
     name = "structural"
@@ -246,11 +184,22 @@ class IcDominatorEvaluator(_StructuralEvaluator):
         n, s = self.n, len(self.outs)
         root = s * n  # virtual super-source; node u of topology t is row t*n + u
         seeds = np.array(self.infected, dtype=np.int32)
+        seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()
+        lists = [t.live_edges for t in instance.topologies]
+        sizes = [len(edges) for edges in lists]
+        live = np.fromiter(  # one pass over every edge tuple; np.array on them is slower
+            itertools.chain.from_iterable(itertools.chain.from_iterable(lists)),
+            dtype=np.int32,
+            count=2 * sum(sizes),
+        ).reshape(-1, 2)
+        live += np.repeat(np.arange(s, dtype=np.int32) * n, sizes)[:, None]
+        # the super-source's empty row makes every seed's Dom row {seed}, so
+        # no other edge into a seed can change a row
+        into_seed = np.zeros(root, dtype=bool)
+        into_seed[seed_rows] = True
         edges = np.concatenate(
-            [np.array(t.live_edges, dtype=np.int32).reshape(-1, 2) + t_idx * n
-             for t_idx, t in enumerate(instance.topologies)]
-            + [np.column_stack([np.full(s * len(seeds), root, dtype=np.int32),
-                                (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()])]
+            [live[~into_seed[live[:, 1]]],
+             np.column_stack([np.full(len(seed_rows), root, dtype=np.int32), seed_rows])]
         )
         flow = csr_matrix(
             (np.ones(len(edges), dtype=bool), (edges[:, 0], edges[:, 1])),
@@ -263,6 +212,8 @@ class IcDominatorEvaluator(_StructuralEvaluator):
         reached = np.isfinite(dist)
         level = np.where(reached, dist, 0).astype(np.int32)
         edges = edges[reached[edges[:, 0]]]
+        # always so on LT, where each remaining edge runs from parent to child
+        self._one_sweep = bool(np.all(level[edges[:, 0]] < level[edges[:, 1]]))
         indeg = np.bincount(edges[:, 1], minlength=root + 1)
         heads = np.flatnonzero(reached[:root])
         heads = heads[np.lexsort((-indeg[heads], level[heads]))]
@@ -297,11 +248,13 @@ class IcDominatorEvaluator(_StructuralEvaluator):
         self._widest = int(np.diff(bounds).max(initial=0))
 
     def gains(self, S) -> np.ndarray:
-        return self._masked_gains(S)
+        # defined on this class, not only inherited, so that the benchmark's
+        # tracer can wrap it by name
+        return BfsEvaluator.gains(self, S)
 
-    def _counts(self, S) -> tuple[np.ndarray, np.ndarray]:
-        # the kernel keeps its own name: the benchmark's tracer wraps it by name
-        return self._dominator_pass(S)
+    def _counts(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
+        saved, gain_counts = self._dominator_pass(S)
+        return saved, gain_counts[:, list(candidates)]
 
     def _dominator_pass(self, S) -> tuple[np.ndarray, np.ndarray]:
         """Per-topology saved counts and dominated-node counts for one set S."""
@@ -325,8 +278,9 @@ class IcDominatorEvaluator(_StructuralEvaluator):
         bit = np.bitwise_count(idom_bits[inner, word] - np.uint64(1))
         idom = self._pos[topo[inner], word * 64 + bit]
         size = reached.astype(np.int64)
+        inner_depth = depth[inner]
         for d in range(depth.max(initial=0), 1, -1):  # subtrees before their roots
-            group = depth[inner] == d
+            group = inner_depth == d
             np.add.at(size, idom[group], size[inner[group]])
         gain_counts = np.zeros((s, n), dtype=np.int64)
         gain_counts[topo[r], node[r]] = size[r]
@@ -357,7 +311,29 @@ class IcDominatorEvaluator(_StructuralEvaluator):
                 acc[blocked[lo:hi]] = ones
                 changed = changed or not np.array_equal(acc, dom[lo:hi])
                 dom[lo:hi] = acc
+            # with every predecessor on a lower level the first sweep is final
+            changed = changed and not self._one_sweep
         return dom[:-1]
+
+
+class LtChainEvaluator(IcDominatorEvaluator):
+    """LT evaluation on the dominator kernel.
+
+    Every node has at most one live parent per realization, so the infected
+    nodes of a topology form a forest hanging off the seeds.  That forest is
+    its own dominator tree, so the kernel's counts are infected-subtree sizes.
+    With the edges into seeds dropped, every edge runs from one BFS level to
+    the next, and the kernel stops after one sweep.  The class defines
+    ``gains`` and ``batch_total`` itself only so that the benchmark's tracer,
+    which wraps methods by class and name, finds them here.
+    """
+
+    def gains(self, S) -> np.ndarray:
+        # not ``super().gains``: the tracer wraps that one too
+        return BfsEvaluator.gains(self, S)
+
+    def batch_total(self, candidate_sets) -> list[float]:
+        return [self.total_saved(S) for S in candidate_sets]
 
 
 def make_evaluator(instance: ProblemInstance, evaluation: str = "bfs") -> BfsEvaluator:

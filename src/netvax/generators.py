@@ -41,10 +41,10 @@ class WaxmanParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterError("alpha must be in (0, 1]")
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:  # also rejects nan, which would link no pair
             raise ParameterError("beta must be positive")
-        if self.box_side <= 0.0:
-            raise ParameterError("box_side must be positive")
+        if not 0.0 < self.box_side < math.inf:
+            raise ParameterError("box_side must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ def generate_gaussian_waxman(
     if n_centers < 1 or n < n_centers:
         raise ParameterError("need n >= n_centers >= 1")
     lo, hi = variance_range
-    if not (0.0 < lo <= hi):
-        raise ParameterError("variance_range must be positive and ordered")
+    if not (0.0 < lo <= hi < math.inf):
+        raise ParameterError("variance_range must be finite, positive and ordered")
     rng = as_rng(rng)
     box = params.box_side
     centers_xy = rng.uniform(0.0, box, size=(n_centers, 2))

@@ -53,8 +53,12 @@ class ProblemInstance:
             raise ParameterError("budget k must satisfy 0 <= k <= n - |infected|")
         if self.topologies.topologies and self.topologies.n != n:
             raise ParameterError("topology node count does not match the graph")
-        if self.graph.model == LT:
-            for t, topo in enumerate(self.topologies):
+        pairs = {(src, dst) for src, dst, _ in self.graph.edges}
+        for t, topo in enumerate(self.topologies):
+            if not pairs.issuperset(topo.live_edges):
+                src, dst = next(e for e in topo.live_edges if e not in pairs)
+                raise ParameterError(f"topology {t}: live edge ({src},{dst}) is not a graph edge")
+            if self.graph.model == LT:
                 heads = set()
                 for _, dst in topo.live_edges:
                     if dst in heads:

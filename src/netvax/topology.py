@@ -125,11 +125,13 @@ class TopologySet:
         return hash((self.topologies, self.source_graph_hash, self.seed))
 
 
-def _check_sampling_pre(graph: Graph, model: str, s: int) -> None:
+def _check_sampling_pre(graph: Graph, model: str, s: int, seed: int) -> None:
     if graph.model != model:
         raise ModelMismatchError(f"expected a {model} graph, got {graph.model}")
     if s < 0:
         raise ParameterError("sample count must be non-negative")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     report = validate(graph)
     if not report.ok:
         raise ParameterError(f"graph fails validation: {report.violations[0]}")
@@ -149,7 +151,7 @@ def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
     w_ij, and no edge with the leftover 1 - sum of incoming weights, via a
     single uniform draw walked over incoming edges in ascending source order.
     """
-    _check_sampling_pre(graph, LT, s)
+    _check_sampling_pre(graph, LT, s, seed)
     in_lists = [graph.in_neighbors(j) for j in range(graph.n)]
     topologies = []
     for t in range(s):
@@ -172,7 +174,7 @@ def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
 
 def sample_ic(graph: Graph, s: int, seed: int) -> TopologySet:
     """Sample s IC realizations: every edge independently live with its p."""
-    _check_sampling_pre(graph, IC, s)
+    _check_sampling_pre(graph, IC, s, seed)
     probs = np.array([v for _, _, v in graph.edges])
     topologies = []
     for t in range(s):

@@ -135,3 +135,25 @@ def test_gen_topologies_bad_graph_file_exits_2(tmp_path):
         ["gen-topologies", "--graph", str(gpath), "--samples", "2", "--seed", "1", "--out", str(tmp_path / "t.txt")]
     )
     assert code == 2
+
+
+def test_negative_seed_exits_2(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", "-1"]) == 2
+    bad = write_config(tmp_path, CONFIG.replace("seed = 7", "seed = -4"))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_gen_topologies_negative_seed_exits_2(tmp_path):
+    gpath = tmp_path / "graph.txt"
+    assert main(["gen-graph", "--config", str(write_config(tmp_path)), "--out", str(gpath)]) == 0
+    code = main(
+        ["gen-topologies", "--graph", str(gpath), "--samples", "2", "--seed", "-1", "--out", str(tmp_path / "t.txt")]
+    )
+    assert code == 2
+
+
+def test_non_finite_config_values_exit_2(tmp_path):
+    for line in ("box_side = inf", "box_side = nan", "variance_hi = inf", "beta = nan"):
+        cfg = write_config(tmp_path, CONFIG + line + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, line

@@ -1,12 +1,14 @@
 """The structural evaluators must match BFS re-evaluation exactly."""
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, random_topology
+from conftest import random_instance, random_topology, single_topology_instance
 
 from netvax import (
     IC,
@@ -16,6 +18,7 @@ from netvax import (
     Topology,
     TopologySet,
     enumerate_all,
+    exhaustive_optimal,
     generate_er,
     greedy,
     hill_climb,
@@ -72,15 +75,15 @@ def test_structural_gains_match_naive_oracle(model):
             assert np.array_equal(BfsEvaluator(inst).gains(S), expected)
 
 
-def test_ic_dominator_incremental_cache_matches_fresh():
-    # greedy calls gains with S growing one node at a time; the cached path
-    # must agree with a fresh evaluator at every step
+def test_ic_gains_along_greedy_trajectory_match_fresh_and_naive():
+    # greedy calls gains with S growing one node at a time; one evaluator
+    # must agree with a fresh one and with the oracle at every step
     for seed in range(6):
         inst = random_instance(seed, model=IC, n=14, p=0.25, s=5, n_infected=2, k=6)
-        cached = IcDominatorEvaluator(inst)
+        reused = IcDominatorEvaluator(inst)
         S = set()
         for _ in range(inst.k):
-            got = cached.gains(S)
+            got = reused.gains(S)
             fresh = IcDominatorEvaluator(inst).gains(S)
             assert np.array_equal(got, fresh)
             assert np.array_equal(got, naive_gains(inst, S))
@@ -88,7 +91,7 @@ def test_ic_dominator_incremental_cache_matches_fresh():
 
 
 def test_lt_long_chain_and_cycle():
-    # worst-case chain depth and a seedless cycle, beyond the doubling window
+    # a 40-edge chain from the seed and a seedless cycle
     n = 70
     chain = [(i, i + 1) for i in range(40)]
     cycle = [(i, i + 1) for i in range(45, 69)] + [(69, 45)]
@@ -137,7 +140,7 @@ def swap_ties(instance, S):
     ties = 0
     for v in sorted(S):
         ws = [w for w in instance.candidates() if w not in S]
-        values = ref.totals_with(S - {v}, ws)
+        values = list(ref.totals_with(S - {v}, ws))
         assert list(fast.totals_with(S - {v}, ws)) == values
         ties += len(values) - len(set(values))
     return ties
@@ -210,15 +213,48 @@ def dominator_oracle(topo, infected, S):
     return n - len(reached), counts
 
 
+def lt_edges(draw, rng, n, seeds, others):
+    """LT-shaped live edges: at most one parent per node.
+
+    Random parents first, then optionally a long chain (from a seed when
+    there is one), a cycle without seeds and a cycle through a seed, each
+    replacing the parents of the nodes it covers.
+    """
+    parent = {}
+    p = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    for v in range(n):
+        if rng.random() < p:
+            u = int(rng.integers(n - 1))
+            parent[v] = u + (u >= v)  # any node but v
+    if draw(st.booleans()):
+        path = seeds[:1] + [int(v) for v in rng.permutation(others)[:40]]
+        parent.update(zip(path[1:], path[:-1]))
+    if draw(st.booleans()):
+        ring = [int(v) for v in rng.choice(others, size=min(5, len(others)), replace=False)]
+        parent.update(zip(ring[1:] + ring[:1], ring))
+    if seeds and draw(st.booleans()):
+        ring = seeds[:1] + [int(v) for v in rng.choice(others, size=4, replace=False)]
+        parent.update(zip(ring[1:] + ring[:1], ring))
+    return {(u, v) for v, u in parent.items()}
+
+
 @st.composite
 def dominator_cases(draw):
-    """IC instances around the packed-word boundary with adversarial shapes."""
+    """IC and LT instances around the packed-word boundary with adversarial shapes.
+
+    The graph holds exactly the topologies' live edges, which
+    ``ProblemInstance`` requires of every topology.
+    """
+    model = draw(st.sampled_from([IC, LT]))
     n = draw(st.sampled_from([63, 64, 65]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     seeds = [int(v) for v in rng.choice(n, size=draw(st.integers(0, 3)), replace=False)]
     others = [v for v in range(n) if v not in seeds]
     topologies = []
     for _ in range(draw(st.integers(1, 3))):
+        if model == LT:
+            topologies.append(Topology(n, sorted(lt_edges(draw, rng, n, seeds, others))))
+            continue
         p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.08]))  # 0.0: an empty topology
         edges = set(random_topology(rng, n, p).live_edges)
         if draw(st.booleans()):  # seeds with in-edges from other seeds
@@ -227,7 +263,8 @@ def dominator_cases(draw):
             ring = [int(v) for v in rng.choice(others, size=min(5, len(others)), replace=False)]
             edges |= set(zip(ring, ring[1:] + ring[:1]))
         topologies.append(Topology(n, sorted(edges)))
-    graph = Graph(n, [], IC)
+    pairs = sorted(set().union(*(t.live_edges for t in topologies)))
+    graph = Graph(n, [(a, b, 0.5) for a, b in pairs], model)
     inst = ProblemInstance(graph, frozenset(seeds), 0, TopologySet(topologies, "", 0))
     kind = draw(st.sampled_from(["empty", "random", "all"]))
     if kind == "all":
@@ -239,15 +276,52 @@ def dominator_cases(draw):
     return inst, S
 
 
-@settings(max_examples=150)
+@settings(max_examples=200)
 @given(dominator_cases())
-def test_ic_dominator_kernel_matches_networkx(case):
+def test_dominator_kernel_matches_networkx(case):
     inst, S = case
-    saved, gain_counts = IcDominatorEvaluator(inst)._dominator_pass(S)
+    fast = make_evaluator(inst, "structural")
+    if inst.graph.model == LT:
+        assert fast._one_sweep
+    saved, gain_counts = fast._dominator_pass(S)
     for t, topo in enumerate(inst.topologies):
         expected_saved, expected_counts = dominator_oracle(topo, inst.infected, S)
         assert saved[t] == expected_saved
         assert np.array_equal(gain_counts[t], expected_counts)
+
+
+def test_one_sweep_on_lt_and_not_on_ic_back_edge():
+    for seed in range(6):
+        inst = random_instance(seed, model=LT, n=30, p=0.2, s=5, n_infected=2, k=3)
+        assert LtChainEvaluator(inst)._one_sweep
+    # 0 -> 1 -> 2 -> 1: the edge 2 -> 1 runs back to a lower BFS level
+    inst = single_topology_instance(4, [(0, 1), (1, 2), (2, 1), (2, 3)], {0}, 1)
+    fast = IcDominatorEvaluator(inst)
+    assert not fast._one_sweep
+    assert np.array_equal(fast.gains(set()), naive_gains(inst, set()))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**20), model=st.sampled_from([LT, IC]), enumerated=st.booleans())
+def test_bfs_structural_and_oracle_agree_on_every_subset(seed, model, enumerated):
+    # each size-k subset is its largest node w added to the rest, so the
+    # totals_with calls below cover every subset exactly once
+    if enumerated:
+        inst = enumerated_instance(seed, model, n=5)
+    else:
+        inst = random_instance(seed, model=model, n=8, p=0.3, s=4, n_infected=1, k=3)
+    ref = make_evaluator(inst, "bfs")
+    fast = make_evaluator(inst, "structural")
+    cands = inst.candidates()
+    best = -np.inf
+    for rest in itertools.combinations(cands, inst.k - 1):
+        ws = [w for w in cands if not rest or w > rest[-1]]
+        totals = list(ref.totals_with(rest, ws))
+        assert list(fast.totals_with(rest, ws)) == totals
+        best = max([best, *totals])
+    S, value = exhaustive_optimal(inst)
+    assert fast.total_saved(S.nodes) == ref.total_saved(S.nodes) == best
+    assert value == (best if enumerated else best / len(inst.topologies))
 
 
 @settings(max_examples=20)
@@ -260,4 +334,4 @@ def test_ic_kernel_equals_bfs_on_enumerated_instance(seed, data):
     fast = IcDominatorEvaluator(inst)
     assert np.array_equal(fast.gains(S), ref.gains(S))
     ws = [w for w in inst.candidates() if w not in S]
-    assert list(fast.totals_with(S, ws)) == ref.totals_with(S, ws)
+    assert list(fast.totals_with(S, ws)) == list(ref.totals_with(S, ws))

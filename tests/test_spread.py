@@ -118,6 +118,15 @@ def test_instance_invariants():
         ProblemInstance(g, frozenset({0}), 2, ts)
 
 
+def test_instance_rejects_live_edges_outside_the_graph():
+    g = path_graph([0.5, 0.5], IC)  # 0 -> 1 -> 2
+    ProblemInstance(g, frozenset({0}), 1, TopologySet([Topology(3, [(0, 1), (1, 2)])], "", 0))
+    for edges in ([(1, 0)], [(0, 1), (0, 2)]):
+        ts = TopologySet([Topology(3, [(0, 1)]), Topology(3, edges)], "", 0)
+        with pytest.raises(ParameterError, match="topology 1"):
+            ProblemInstance(g, frozenset({0}), 1, ts)
+
+
 # --- exhaustive oracle --------------------------------------------------------
 
 
