@@ -4,7 +4,8 @@ One repetition generates a graph, draws the infected seeds, samples the
 topologies once, and feeds the identical topology set to every requested
 algorithm, so quality numbers are comparable across algorithms.  Local
 search and hill climbing are seeded with the greedy output.  Wall time is
-measured around the solver call only.
+measured around the solver call only; on a greedy row it is the time the
+repetition's one greedy pass took to reach that row's budget.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .generators import (
     load_city_dataset,
 )
 from .graph import IC, LT, MODELS, Graph
-from .heuristics import greedy, hill_climb, local_search
+from .heuristics import greedy, greedy_trajectory, hill_climb, local_search
 from .lp.model import build_model
 from .lp.rounding import round_irp, round_tkr
 from .lp.solve import ENGINES, solve, solve_blp
-from .spread import ProblemInstance, avg_saved, exhaustive_optimal
+from .spread import ProblemInstance, VaccinationSet, avg_saved, exhaustive_optimal
 from .topology import sample_ic, sample_lt
 from .util import round_half_up, substream, substream_seed
 
@@ -162,6 +163,11 @@ def build_graph(config: ExperimentConfig, rng) -> Graph:
     return generate_city(city, params, config.model, rng)
 
 
+def _budget(fraction: float, n: int, infected_count: int) -> int:
+    """The vaccine budget k of a budget fraction, at most n - |infected|."""
+    return min(round_half_up(fraction * n), n - infected_count)
+
+
 def build_instance(config: ExperimentConfig, rep: int) -> ProblemInstance:
     """Graph, infected seeds, budget, and topology samples for one repetition."""
     graph = build_graph(config, substream(config.seed, rep, _GRAPH))
@@ -173,14 +179,14 @@ def build_instance(config: ExperimentConfig, rep: int) -> ProblemInstance:
     infected = frozenset(
         int(v) for v in infected_rng.choice(n, size=i_count, replace=False)
     )
-    k = min(round_half_up(config.budget_fraction * n), n - i_count)
+    k = _budget(config.budget_fraction, n, i_count)
     topo_seed = substream_seed(config.seed, rep, _TOPO)
     sampler = sample_lt if config.model == LT else sample_ic
     topologies = sampler(graph, config.samples, topo_seed)
     return ProblemInstance(graph, infected, k, topologies)
 
 
-def _row(config, instance, rep, algorithm, saved, wall, status="ok", digest=""):
+def _row(config, instance, rep, algorithm, saved, wall, status, digest):
     n = instance.n
     pct = None if saved is None else 100.0 * saved / n
     return ResultRow(
@@ -199,100 +205,89 @@ def _row(config, instance, rep, algorithm, saved, wall, status="ok", digest=""):
     )
 
 
-def run_algorithms(config: ExperimentConfig, instance: ProblemInstance, rep: int) -> list[ResultRow]:
-    """Run every configured algorithm on one shared instance."""
+def _solve(algorithm, config, instance, greedy_result) -> tuple[VaccinationSet | None, str]:
+    """One algorithm's vaccination set (None when it has none) and its status."""
+    if algorithm == "greedy":
+        return greedy_result.vaccination, "ok"
+    if algorithm in ("ls", "hc"):
+        search = local_search if algorithm == "ls" else hill_climb
+        return search(instance, greedy_result.vaccination, evaluation=config.evaluation).vaccination, "ok"
+    if algorithm == "lp_irp":
+        return round_irp(instance, engine=config.lp_engine), "ok"
+    if algorithm == "oracle":
+        try:
+            return exhaustive_optimal(instance)[0], "ok"
+        except CapacityError:
+            return None, "capacity"
+    if algorithm == "blp":
+        S, solution = solve_blp(instance, engine=config.lp_engine)
+    else:
+        solution = solve(build_model(instance, relaxed=True), engine=config.lp_engine)
+        S = round_tkr(solution, instance) if solution.status == "optimal" else None
+    return (S, "ok") if solution.status == "optimal" else (None, solution.status)
+
+
+def run_algorithms(
+    config: ExperimentConfig, instance: ProblemInstance, rep: int, greedy_result=None
+) -> list[ResultRow]:
+    """Run every configured algorithm on one shared instance.
+
+    Greedy runs here only when no ``greedy_result`` for this instance is given.
+    """
+    if greedy_result is None and {"greedy", "ls", "hc"} & set(config.algorithms):
+        greedy_result = greedy(instance, evaluation=config.evaluation)
     digest = instance.topologies.digest()
     rows = []
-    greedy_result = None
-    if {"greedy", "ls", "hc"} & set(config.algorithms):
-        t0 = time.perf_counter()
-        greedy_result = greedy(instance, evaluation=config.evaluation)
-        greedy_wall = time.perf_counter() - t0
-
     for algorithm in config.algorithms:
-        if algorithm == "greedy":
-            rows.append(
-                _row(config, instance, rep, "greedy", greedy_result.avg_saved, greedy_wall, digest=digest)
-            )
-        elif algorithm == "ls":
-            t0 = time.perf_counter()
-            result = local_search(instance, greedy_result.vaccination, evaluation=config.evaluation)
-            rows.append(
-                _row(config, instance, rep, "ls", result.avg_saved, time.perf_counter() - t0, digest=digest)
-            )
-        elif algorithm == "hc":
-            t0 = time.perf_counter()
-            result = hill_climb(instance, greedy_result.vaccination, evaluation=config.evaluation)
-            rows.append(
-                _row(config, instance, rep, "hc", result.avg_saved, time.perf_counter() - t0, digest=digest)
-            )
-        elif algorithm == "blp":
-            t0 = time.perf_counter()
-            S, solution = solve_blp(instance, engine=config.lp_engine)
-            wall = time.perf_counter() - t0
-            if solution.status != "optimal":
-                rows.append(_row(config, instance, rep, "blp", None, wall, solution.status, digest))
-            else:
-                saved = avg_saved(instance, S).avg_saved
-                rows.append(_row(config, instance, rep, "blp", saved, wall, digest=digest))
-        elif algorithm == "lp_tkr":
-            t0 = time.perf_counter()
-            model = build_model(instance, relaxed=True)
-            solution = solve(model, engine=config.lp_engine)
-            if solution.status != "optimal":
-                wall = time.perf_counter() - t0
-                rows.append(_row(config, instance, rep, "lp_tkr", None, wall, solution.status, digest))
-            else:
-                S = round_tkr(solution, instance)
-                wall = time.perf_counter() - t0
-                saved = avg_saved(instance, S).avg_saved
-                rows.append(_row(config, instance, rep, "lp_tkr", saved, wall, digest=digest))
-        elif algorithm == "lp_irp":
-            t0 = time.perf_counter()
-            S = round_irp(instance, engine=config.lp_engine)
-            wall = time.perf_counter() - t0
-            saved = avg_saved(instance, S).avg_saved
-            rows.append(_row(config, instance, rep, "lp_irp", saved, wall, digest=digest))
-        elif algorithm == "oracle":
-            t0 = time.perf_counter()
-            try:
-                S, value = exhaustive_optimal(instance)
-                wall = time.perf_counter() - t0
-                rows.append(_row(config, instance, rep, "oracle", value, wall, digest=digest))
-            except CapacityError:
-                wall = time.perf_counter() - t0
-                rows.append(_row(config, instance, rep, "oracle", None, wall, "capacity", digest))
+        t0 = time.perf_counter()
+        S, status = _solve(algorithm, config, instance, greedy_result)
+        wall = greedy_result.wall_time if algorithm == "greedy" else time.perf_counter() - t0
+        saved = None if S is None else avg_saved(instance, S).avg_saved
+        rows.append(_row(config, instance, rep, algorithm, saved, wall, status, digest))
     return rows
 
 
-def _run_rep(config: ExperimentConfig, rep: int) -> list[ResultRow]:
-    instance = build_instance(config, rep)
-    return run_algorithms(config, instance, rep)
+def _run_rep(configs: list[ExperimentConfig], rep: int) -> list[list[ResultRow]]:
+    """One repetition's rows per budget, sorted by algorithm: one instance, one greedy pass."""
+    instance = build_instance(configs[0], rep)
+    ks = [_budget(c.budget_fraction, instance.n, len(instance.infected)) for c in configs]
+    trajectory = {}
+    if {"greedy", "ls", "hc"} & set(configs[0].algorithms):
+        trajectory = greedy_trajectory(replace(instance, k=max(ks)), ks, configs[0].evaluation)
+    return [
+        sorted(run_algorithms(c, replace(instance, k=k), rep, trajectory.get(k)), key=lambda r: r.algorithm)
+        for c, k in zip(configs, ks)
+    ]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     """One graph + seed draw + topology sample per repetition, all algorithms."""
-    validate_config(config)
-    rows: list[ResultRow] = []
-    if threads > 1 and config.repetitions > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(lambda r: _run_rep(config, r), range(config.repetitions)):
-                rows.extend(chunk)
-    else:
-        for rep in range(config.repetitions):
-            rows.extend(_run_rep(config, rep))
-    rows.sort(key=lambda r: (r.rep, r.algorithm))
-    return rows
+    return sweep_budget(config, [config.budget_fraction], threads)
 
 
 def sweep_budget(
     config: ExperimentConfig, budgets: Iterable[float], threads: int = 1
 ) -> list[ResultRow]:
-    """run_experiment per budget fraction; graphs and samples repeat across budgets."""
-    rows: list[ResultRow] = []
-    for budget in budgets:
-        rows.extend(run_experiment(replace(config, budget_fraction=budget), threads=threads))
-    return rows
+    """Every algorithm at every budget fraction, on one instance per repetition.
+
+    A repetition runs one greedy pass to its largest budget: greedy's choice
+    order does not depend on k, so each budget reads its set off that pass.
+    Rows are budget-major, then ordered by (rep, algorithm).
+    """
+    configs = [replace(config, budget_fraction=b) for b in budgets]
+    for c in configs:
+        validate_config(c)
+    if threads < 1:
+        raise ParameterError("threads must be at least 1")
+    if not configs:
+        return []
+    reps = range(config.repetitions)
+    if threads > 1 and config.repetitions > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_rep = list(pool.map(lambda rep: _run_rep(configs, rep), reps))
+    else:
+        per_rep = [_run_rep(configs, rep) for rep in reps]
+    return [row for by_rep in zip(*per_rep) for rows in by_rep for row in rows]
 
 
 def sweep_samples(

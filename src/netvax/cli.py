@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
-Config files are flat ``key = value`` lines ('#' starts a comment); keys
-mirror ExperimentConfig fields, with ``algorithms`` a comma-separated list.
+Config files are UTF-8, flat ``key = value`` lines ('#' starts a comment);
+keys mirror ExperimentConfig fields, each given at most once, with
+``algorithms`` a comma-separated list.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .bench import (
 from .errors import FormatError, ParameterError
 from .graph import LT, read_graph, write_graph
 from .topology import sample_ic, sample_lt, write_topology_set
-from .util import substream
+from .util import text_lines, substream
 
 _CONFIG_EXIT = 2
 _IO_EXIT = 3
@@ -35,29 +36,30 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a key = value config file into an ExperimentConfig."""
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in kinds:
-                raise FormatError(f"line {lineno}: unknown config key {key!r}")
-            try:
-                if key == "algorithms":
-                    values[key] = tuple(a.strip() for a in text.split(",") if a.strip())
-                elif kinds[key] == "int":
-                    values[key] = int(text)
-                elif kinds[key] == "float":
-                    values[key] = float(text)
-                else:
-                    values[key] = text
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad value for {key}: {text!r}") from exc
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in kinds:
+            raise FormatError(f"line {lineno}: unknown config key {key!r}")
+        if key in values:
+            raise FormatError(f"line {lineno}: config key {key!r} given twice")
+        try:
+            if key == "algorithms":
+                values[key] = tuple(a.strip() for a in text.split(",") if a.strip())
+            elif kinds[key] == "int":
+                values[key] = int(text)
+            elif kinds[key] == "float":
+                values[key] = float(text)
+            else:
+                values[key] = text
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: bad value for {key}: {text!r}") from exc
     config = ExperimentConfig(**values)
     validate_config(config)
     return config
@@ -158,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep-budget", help="re-run at several budget fractions")
+    p = sub.add_parser("sweep-budget", help="run at several budget fractions, one instance per repetition")
     common(p)
     p.add_argument("--budgets", required=True, help="comma-separated fractions, e.g. 0.05,0.1")
     p.set_defaults(func=_cmd_sweep_budget)

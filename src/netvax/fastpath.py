@@ -4,9 +4,9 @@ Every evaluator supplies one method, ``_counts(S, candidates)``: per
 topology, the integer saved count of S and the integer gain of vaccinating
 each candidate in addition to S.  ``gains`` and ``totals_with`` are written
 once, on ``BfsEvaluator``, and reduce those counts through
-``_weighted_total``, so every evaluator produces the same floats bit for
-bit, on mu-weighted (enumerated) instances too.  Two strategies supply the
-counts:
+``spread.weighted_total``, as ``avg_saved`` does, so every evaluator
+produces the same floats bit for bit, on mu-weighted (enumerated) instances
+too.  Two strategies supply the counts:
 
 * ``bfs`` runs one reachability pass per (topology, candidate), exactly as
   the greedy/local-search pseudocode is usually stated.  It is the reference
@@ -38,26 +38,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ModelMismatchError
 from .graph import IC, LT
-from .spread import ProblemInstance
-
-
-def _weighted_total(per_topology, mu: np.ndarray | None):
-    """Single canonical reduction so every evaluator produces identical floats.
-
-    ``per_topology`` is one integer count per topology, reduced to a float,
-    or a (topologies, candidates) integer array, reduced to one float per
-    column.  Columns are reduced one at a time exactly as a 1-D count list
-    is, because ``mu @ counts`` sums in another order and can differ in the
-    last bit; without mu the integer sums are exact either way.
-    """
-    if isinstance(per_topology, np.ndarray) and per_topology.ndim == 2:
-        if mu is None:
-            return per_topology.sum(axis=0).astype(float)
-        columns = np.ascontiguousarray(per_topology.T, dtype=float)
-        return np.array([_weighted_total(col, mu) for col in columns])
-    if mu is None:
-        return float(sum(per_topology))
-    return float(np.dot(mu, np.asarray(per_topology, dtype=float)))
+from .spread import ProblemInstance, weighted_total
 
 
 class BfsEvaluator:
@@ -75,8 +56,7 @@ class BfsEvaluator:
         self.infected = sorted(instance.infected)
         self._infected_set = instance.infected
         self.outs = [t.out for t in instance.topologies]
-        mus = [t.mu for t in instance.topologies]
-        self.mu = np.array(mus, dtype=float) if all(m is not None for m in mus) and mus else None
+        self.mu = instance.topologies.mu
         self._vis = [0] * self.n
         self._epoch = 0
 
@@ -108,7 +88,7 @@ class BfsEvaluator:
         return [self._saved_one(out, blocked) for out in self.outs]
 
     def total_saved(self, S) -> float:
-        return _weighted_total(self.per_topology_saved(S), self.mu)
+        return weighted_total(self.per_topology_saved(S), self.mu)
 
     def batch_total(self, candidate_sets) -> list[float]:
         # no caller in the package; the benchmark's tracer wraps it by name
@@ -131,7 +111,7 @@ class BfsEvaluator:
     def totals_with(self, base, candidates) -> np.ndarray:
         """Total saved of ``base | {w}`` for each candidate w."""
         saved, gain_counts = self._counts(base, candidates)
-        return _weighted_total(gain_counts + saved[:, None], self.mu)
+        return weighted_total(gain_counts + saved[:, None], self.mu)
 
     def gains(self, S) -> np.ndarray:
         """Marginal gain of vaccinating each node in addition to S.
@@ -144,7 +124,7 @@ class BfsEvaluator:
         saved, gain_counts = self._counts(S, candidates)
         out = np.full(self.n, -math.inf)
         out[candidates] = (
-            _weighted_total(gain_counts + saved[:, None], self.mu) - _weighted_total(saved, self.mu)
+            weighted_total(gain_counts + saved[:, None], self.mu) - weighted_total(saved, self.mu)
         )
         return out
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, ModelMismatchError, ParameterError
 from .graph import IC, LT, MODELS, Graph
-from .util import as_rng, round_half_up
+from .util import as_rng, round_half_up, text_lines
 
 # Synthetic per-center variance range in box-units^2 (the data gives only
 # proportionality, so the range is a documented knob).
@@ -258,30 +258,29 @@ def load_city_dataset(
         raise ParameterError("min_nodes must be non-negative")
 
     records: list[CityRecord] = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"city", "lat", "lng", "population", "density"}
-        header = set(reader.fieldnames or ())
-        missing = required - header
-        if missing:
-            raise FormatError(f"missing column(s): {', '.join(sorted(missing))}")
-        for row in reader:
-            lineno = reader.line_num
-            try:
-                rec = CityRecord(
-                    name=row["city"],
-                    lat=float(row["lat"]),
-                    lng=float(row["lng"]),
-                    population=int(float(row["population"])),
-                    density=float(row["density"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"line {lineno}: non-numeric field in {row!r}") from exc
-            if rec.population < 0:
-                raise FormatError(f"line {lineno}: negative population")
-            if rec.population > 0 and rec.density <= 0.0:
-                raise FormatError(f"line {lineno}: density must be positive when population > 0")
-            records.append(rec)
+    reader = csv.DictReader(text_lines(csv_path))
+    required = {"city", "lat", "lng", "population", "density"}
+    header = set(reader.fieldnames or ())
+    missing = required - header
+    if missing:
+        raise FormatError(f"missing column(s): {', '.join(sorted(missing))}")
+    for row in reader:
+        lineno = reader.line_num
+        try:
+            rec = CityRecord(
+                name=row["city"],
+                lat=float(row["lat"]),
+                lng=float(row["lng"]),
+                population=int(float(row["population"])),
+                density=float(row["density"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"line {lineno}: non-numeric field in {row!r}") from exc
+        if rec.population < 0:
+            raise FormatError(f"line {lineno}: negative population")
+        if rec.population > 0 and rec.density <= 0.0:
+            raise FormatError(f"line {lineno}: density must be positive when population > 0")
+        records.append(rec)
 
     kept: list[tuple[CityRecord, int]] = []
     for rec in records:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import FormatError, ParameterError
-from .util import fmt_float
+from .util import fmt_float, text_lines
 
 LT = "LT"
 IC = "IC"
@@ -183,26 +183,25 @@ def read_graph(path) -> Graph:
     model = None
     coords: dict[int, tuple[float, float]] = {}
     edges: list[tuple[int, int, float]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "graph":
-                    n = int(parts[1])
-                    model = parts[2]
-                elif parts[0] == "coord":
-                    coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
-                elif parts[0] == "edge":
-                    edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-                else:
-                    raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
-            except (IndexError, ValueError) as exc:
-                if isinstance(exc, FormatError):
-                    raise
-                raise FormatError(f"line {lineno}: cannot parse {line!r}") from exc
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "graph":
+                n = int(parts[1])
+                model = parts[2]
+            elif parts[0] == "coord":
+                coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
+            elif parts[0] == "edge":
+                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            else:
+                raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+        except (IndexError, ValueError) as exc:
+            if isinstance(exc, FormatError):
+                raise
+            raise FormatError(f"line {lineno}: cannot parse {line!r}") from exc
     if n is None or model is None:
         raise FormatError("missing 'graph <n> <model>' header line")
     coord_list = None

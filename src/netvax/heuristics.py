@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .fastpath import make_evaluator
-from .spread import ProblemInstance, VaccinationSet, avg_saved
+from .spread import ProblemInstance, VaccinationSet, avg_saved, checked_nodes
 
 
 @dataclass(frozen=True)
@@ -33,22 +33,6 @@ class SolverResult:
     wall_time: float
     iterations: int
     algorithm: str
-
-
-def _as_nodes(S) -> frozenset[int]:
-    if isinstance(S, VaccinationSet):
-        return S.nodes
-    return frozenset(int(v) for v in S)
-
-
-def _check_start(instance: ProblemInstance, S0: frozenset[int]) -> None:
-    overlap = S0 & instance.infected
-    if overlap:
-        raise ContractViolationError(f"start set vaccinates infected nodes {sorted(overlap)}")
-    if len(S0) > instance.k:
-        raise ContractViolationError(f"start set size {len(S0)} exceeds budget {instance.k}")
-    if any(not 0 <= v < instance.n for v in S0):
-        raise ContractViolationError("start set references nodes outside the graph")
 
 
 def _finish(instance, S, t0, iterations, algorithm) -> SolverResult:
@@ -64,19 +48,12 @@ def _finish(instance, S, t0, iterations, algorithm) -> SolverResult:
 
 
 def greedy(instance: ProblemInstance, evaluation: str = "bfs") -> SolverResult:
-    """Add min(k, n - |infected|) nodes, each maximizing the total saved gain.
+    """Add k nodes, each maximizing the total saved gain.
 
     Ties go to the lowest node index; a node is added even when every
     remaining gain is zero, so the budget is always used in full.
     """
-    t0 = time.perf_counter()
-    evaluator = make_evaluator(instance, evaluation)
-    target = min(instance.k, instance.n - len(instance.infected))
-    S: set[int] = set()
-    for _ in range(target):
-        gains = evaluator.gains(S)
-        S.add(int(np.argmax(gains)))
-    return _finish(instance, S, t0, target, "greedy")
+    return greedy_trajectory(instance, [instance.k], evaluation)[instance.k]
 
 
 def greedy_trajectory(
@@ -87,11 +64,11 @@ def greedy_trajectory(
     The greedy selection order does not depend on the budget (each step only
     looks at the current set), so the result at budget k equals running
     ``greedy`` on a budget-k instance; one pass to max(budgets) covers all.
+    Each result's ``wall_time`` is the time the pass took to reach its k.
     """
     ks = sorted({int(k) for k in budgets})
-    limit = min(instance.k, instance.n - len(instance.infected))
-    if ks and not (0 <= ks[0] and ks[-1] <= limit):
-        raise ContractViolationError(f"budgets must lie in [0, {limit}]")
+    if ks and not (0 <= ks[0] and ks[-1] <= instance.k):
+        raise ContractViolationError(f"budgets must lie in [0, {instance.k}]")
     t0 = time.perf_counter()
     evaluator = make_evaluator(instance, evaluation)
     S: set[int] = set()
@@ -116,8 +93,7 @@ def _swap_search(instance, S0, evaluation, algorithm, replacements) -> SolverRes
     totals for one v come from a single ``totals_with(S - {v}, ...)`` call.
     """
     t0 = time.perf_counter()
-    S = _as_nodes(S0)
-    _check_start(instance, S)
+    S = checked_nodes(S0, instance.n, instance.infected, instance.k)
     evaluator = make_evaluator(instance, evaluation)
     infected = instance.infected
     passes = 0

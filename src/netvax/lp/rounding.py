@@ -27,15 +27,15 @@ def round_tkr(relaxed_solution: LpSolution, instance: ProblemInstance) -> Vaccin
         raise ParameterError("solution vector does not match this instance's variable layout")
     scores = values[n * s : n * s + n]
     graph = instance.graph
-    target = min(instance.k, n - len(instance.infected))
+    k = instance.k
     scored = [j for j in instance.candidates() if scores[j] > SCORE_EPS]
     scored.sort(key=lambda j: (-scores[j], -graph.out_degree(j), j))
-    chosen = scored[:target]
-    if len(chosen) < target:
+    chosen = scored[:k]
+    if len(chosen) < k:
         taken = set(chosen)
         rest = [j for j in instance.candidates() if j not in taken and scores[j] <= SCORE_EPS]
         rest.sort(key=lambda j: (-graph.out_degree(j), j))
-        chosen.extend(rest[: target - len(chosen)])
+        chosen.extend(rest[: k - len(chosen)])
     return VaccinationSet(frozenset(chosen))
 
 
@@ -49,9 +49,8 @@ def round_irp(
     pin before the next solve, until the budget is exhausted.
     """
     graph = instance.graph
-    target = min(instance.k, instance.n - len(instance.infected))
     chosen: list[int] = []
-    for iteration in range(target):
+    for iteration in range(instance.k):
         model = build_model(instance, relaxed=True, pinned_ones=chosen)
         solution = solve(model, engine=engine)
         if solution.status != "optimal":

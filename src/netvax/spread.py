@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -93,29 +93,22 @@ class SpreadResult:
         return tuple(self.n - s for s in self.per_topology_saved)
 
 
-def _as_node_set(S) -> frozenset[int]:
-    if isinstance(S, VaccinationSet):
-        return S.nodes
-    return frozenset(int(v) for v in S)
-
-
-def _check_disjoint(S: frozenset[int], I: frozenset[int]) -> None:
-    overlap = S & I
+def checked_nodes(S, n: int, infected=frozenset(), k: int | None = None) -> frozenset[int]:
+    """S (or I) as a node set, checked: every node in 0..n-1, none infected, at most k."""
+    S = S.nodes if isinstance(S, VaccinationSet) else frozenset(int(v) for v in S)
+    outside = sorted(v for v in S if not 0 <= v < n)
+    if outside:
+        raise ContractViolationError(f"nodes {outside} lie outside 0..{n - 1}")
+    overlap = S & infected
     if overlap:
         raise ContractViolationError(f"vaccinated and infected sets overlap: {sorted(overlap)}")
+    if k is not None and len(S) > k:
+        raise ContractViolationError(f"|S| = {len(S)} exceeds budget k = {k}")
+    return S
 
 
-def infected_on(topology: Topology, S, I: Iterable[int]) -> frozenset[int]:
-    """Nodes reachable from I along live edges avoiding vaccinated nodes.
-
-    The infected set always contains I itself and never contains a
-    vaccinated node.
-    """
-    S = _as_node_set(S)
-    I = frozenset(int(i) for i in I)
-    _check_disjoint(S, I)
-    n = topology.n
-    visited = bytearray(n)
+def _reach(topology: Topology, S: frozenset[int], I: frozenset[int]) -> set[int]:
+    visited = bytearray(topology.n)
     for v in S:
         visited[v] = 1
     stack = []
@@ -132,7 +125,17 @@ def infected_on(topology: Topology, S, I: Iterable[int]) -> frozenset[int]:
                 visited[w] = 1
                 reached.add(w)
                 stack.append(w)
-    return frozenset(reached)
+    return reached
+
+
+def infected_on(topology: Topology, S, I: Iterable[int]) -> frozenset[int]:
+    """Nodes reachable from I along live edges avoiding vaccinated nodes.
+
+    The infected set always contains I itself and never contains a
+    vaccinated node.
+    """
+    I = checked_nodes(I, topology.n)
+    return frozenset(_reach(topology, checked_nodes(S, topology.n, I), I))
 
 
 def saved_on(topology: Topology, S, I: Iterable[int]) -> int:
@@ -140,49 +143,58 @@ def saved_on(topology: Topology, S, I: Iterable[int]) -> int:
     return topology.n - len(infected_on(topology, S, I))
 
 
-def _weighted_mean(per: Sequence[int], topologies: TopologySet) -> float:
-    """One canonical reduction shared by avg_saved and the oracle."""
-    if len(per) == 0:
-        return 0.0
-    if all(t.mu is None for t in topologies):
-        return float(sum(per)) / len(per)
-    return float(np.dot(topologies.weights(), per))
+def weighted_total(per_topology, mu: np.ndarray | None):
+    """The one reduction of per-topology counts, so every path produces identical floats.
+
+    ``per_topology`` is one integer count per topology, reduced to a float,
+    or a (topologies, candidates) integer array, reduced to one float per
+    column.  Columns are reduced one at a time exactly as a 1-D count list
+    is, because ``mu @ counts`` sums in another order and can differ in the
+    last bit; without mu the integer sums are exact either way.
+    """
+    if isinstance(per_topology, np.ndarray) and per_topology.ndim == 2:
+        if mu is None:
+            return per_topology.sum(axis=0).astype(float)
+        columns = np.ascontiguousarray(per_topology.T, dtype=float)
+        return np.array([weighted_total(col, mu) for col in columns])
+    if mu is None:
+        return float(sum(per_topology))
+    return float(np.dot(mu, np.asarray(per_topology, dtype=float)))
 
 
 def avg_saved(instance: ProblemInstance, S) -> SpreadResult:
     """Saved counts over the instance's topologies and their weighted mean.
 
     Enumerated topology sets carry exact probabilities, in which case the
-    mean is the exact expectation; sampled sets weigh uniformly.
+    mean is the mu-weighted total, the exact expectation; sampled sets
+    divide the total by s.
     """
-    S = _as_node_set(S)
-    _check_disjoint(S, instance.infected)
-    if len(S) > instance.k:
-        raise ContractViolationError(f"|S| = {len(S)} exceeds budget k = {instance.k}")
-    per = tuple(saved_on(t, S, instance.infected) for t in instance.topologies)
-    return SpreadResult(instance.n, per, _weighted_mean(per, instance.topologies))
+    I = instance.infected
+    S = checked_nodes(S, instance.n, I, instance.k)
+    per = tuple(t.n - len(_reach(t, S, I)) for t in instance.topologies)
+    mu = instance.topologies.mu
+    mean = weighted_total(per, mu)
+    if mu is None and per:
+        mean /= len(per)
+    return SpreadResult(instance.n, per, mean)
 
 
 def exhaustive_optimal(instance: ProblemInstance) -> tuple[VaccinationSet, float]:
-    """Brute-force best vaccination set: scans every size-min(k, n-|I|) subset.
+    """Brute-force best vaccination set: scans every size-k subset.
 
     Ties are broken toward the lexicographically smallest node list, so the
     oracle is deterministic.
     """
     candidates = instance.candidates()
-    r = min(instance.k, len(candidates))
-    if math.comb(len(candidates), r) > EXHAUSTIVE_MAX_SUBSETS:
+    k = instance.k
+    if math.comb(len(candidates), k) > EXHAUSTIVE_MAX_SUBSETS:
         raise CapacityError(
-            f"C({len(candidates)},{r}) subsets exceed the {EXHAUSTIVE_MAX_SUBSETS} guard"
+            f"C({len(candidates)},{k}) subsets exceed the {EXHAUSTIVE_MAX_SUBSETS} guard"
         )
-    topologies = instance.topologies
-    I = instance.infected
     best_set: tuple[int, ...] | None = None
     best_val = -math.inf
-    for combo in itertools.combinations(candidates, r):
-        S = frozenset(combo)
-        per = [saved_on(t, S, I) for t in topologies]
-        val = _weighted_mean(per, topologies)
+    for combo in itertools.combinations(candidates, k):
+        val = avg_saved(instance, combo).avg_saved
         if val > best_val:
             best_val = val
             best_set = combo
@@ -216,7 +228,7 @@ class WitnessSearchResult:
 
 def marginal_gain(topology: Topology, S, v: int, I) -> int:
     """saved_on(S + v) - saved_on(S)."""
-    S = _as_node_set(S)
+    S = checked_nodes(S, topology.n)
     return saved_on(topology, S | {v}, I) - saved_on(topology, S, I)
 
 

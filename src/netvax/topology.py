@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 from .graph import IC, LT, Graph, validate
-from .util import fmt_float
+from .util import fmt_float, text_lines
 
 # Enumeration guards: IC is exponential in the edge count, LT in the product
 # of per-node (indegree + 1) choices.
@@ -63,15 +63,18 @@ class Topology:
 class TopologySet:
     """A list of topologies sharing one source graph, plus sampling metadata."""
 
-    __slots__ = ("topologies", "source_graph_hash", "seed")
+    __slots__ = ("topologies", "source_graph_hash", "seed", "mu")
 
     def __init__(self, topologies: Sequence[Topology], source_graph_hash: str, seed: int):
         tops = tuple(topologies)
-        if tops:
-            n0 = tops[0].n
-            if any(t.n != n0 for t in tops):
-                raise ParameterError("all topologies in a set must share n")
+        if any(t.n != tops[0].n for t in tops):
+            raise ParameterError("all topologies in a set must share n")
+        given = sum(t.mu is not None for t in tops)
+        if 0 < given < len(tops):
+            raise ParameterError(f"mu is given for {given} of {len(tops)} topologies; give it for all or none")
         self.topologies = tops
+        # exact per-topology probabilities of an enumerated set; None when sampled
+        self.mu = np.array([t.mu for t in tops], dtype=float) if given else None
         self.source_graph_hash = source_graph_hash
         self.seed = int(seed)
 
@@ -90,13 +93,10 @@ class TopologySet:
 
     def weights(self) -> np.ndarray:
         """Per-topology weights: exact mu when enumerated, else uniform 1/s."""
+        if self.mu is not None:
+            return self.mu.copy()
         s = len(self.topologies)
-        if s == 0:
-            return np.zeros(0)
-        mus = [t.mu for t in self.topologies]
-        if all(m is not None for m in mus):
-            return np.array(mus, dtype=float)
-        return np.full(s, 1.0 / s)
+        return np.full(s, 1.0 / s) if s else np.zeros(0)
 
     def serialize(self) -> str:
         lines = [f"toposet {self.n} {len(self.topologies)} {self.seed}"]
@@ -289,45 +289,47 @@ def read_topology_set(path, source_graph_hash: str = "") -> TopologySet:
         except (IndexError, ParameterError) as exc:
             raise FormatError(f"line {topo_line}: topology {len(topologies)}: {exc}") from exc
 
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "toposet":
-                    n = int(parts[1])
-                    expected = int(parts[2])
-                    seed = int(parts[3])
-                elif parts[0] == "topo":
-                    if n is None:
-                        raise FormatError(f"line {lineno}: 'topo' before header")
-                    if started:
-                        flush()
-                    index = int(parts[1])
-                    if index != len(topologies):
-                        raise FormatError(
-                            f"line {lineno}: topology index {index}, expected {len(topologies)}"
-                        )
-                    started = True
-                    topo_line = lineno
-                    edges = []
-                    mu = float(parts[2]) if len(parts) > 2 else None
-                elif parts[0] == "e":
-                    if not started:
-                        raise FormatError(f"line {lineno}: 'e' before the first 'topo'")
-                    edges.append((int(parts[1]), int(parts[2])))
-                else:
-                    raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
-            except (IndexError, ValueError) as exc:
-                if isinstance(exc, FormatError):
-                    raise
-                raise FormatError(f"line {lineno}: cannot parse {line!r}") from exc
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "toposet":
+                n = int(parts[1])
+                expected = int(parts[2])
+                seed = int(parts[3])
+            elif parts[0] == "topo":
+                if n is None:
+                    raise FormatError(f"line {lineno}: 'topo' before header")
+                if started:
+                    flush()
+                index = int(parts[1])
+                if index != len(topologies):
+                    raise FormatError(
+                        f"line {lineno}: topology index {index}, expected {len(topologies)}"
+                    )
+                started = True
+                topo_line = lineno
+                edges = []
+                mu = float(parts[2]) if len(parts) > 2 else None
+            elif parts[0] == "e":
+                if not started:
+                    raise FormatError(f"line {lineno}: 'e' before the first 'topo'")
+                edges.append((int(parts[1]), int(parts[2])))
+            else:
+                raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+        except (IndexError, ValueError) as exc:
+            if isinstance(exc, FormatError):
+                raise
+            raise FormatError(f"line {lineno}: cannot parse {line!r}") from exc
     if n is None:
         raise FormatError("missing 'toposet <n> <s> <seed>' header line")
     if started:
         flush()
     if expected is not None and expected != len(topologies):
         raise FormatError(f"header promises {expected} topologies, found {len(topologies)}")
-    return TopologySet(topologies, source_graph_hash, seed)
+    try:
+        return TopologySet(topologies, source_graph_hash, seed)
+    except ParameterError as exc:
+        raise FormatError(str(exc)) from exc

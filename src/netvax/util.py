@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import FormatError
+
 
 def as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     """Accept an integer seed or anything Generator-shaped (passed through)."""
@@ -34,3 +36,12 @@ def round_half_up(x: float) -> int:
 def fmt_float(x: float) -> str:
     """Decimal text with 17 significant digits; round-trips float64 exactly."""
     return "%.17g" % x
+
+
+def text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

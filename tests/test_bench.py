@@ -132,6 +132,64 @@ def test_budget_sweep_shares_graph_and_samples():
     assert ks[0.3] > ks[0.1]
 
 
+def _without_wall_time(rows):
+    return [replace(r, wall_time_s=0.0) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n=14, algorithms=("greedy", "ls", "hc", "blp", "lp_tkr", "oracle")),
+        dict(n=14, algorithms=("hc", "lp_irp", "greedy"), evaluation="bfs"),
+        dict(n=14, model=IC, alpha=0.3, beta=0.5, algorithms=("greedy", "ls", "hc", "blp", "oracle")),
+        dict(n=30, model=IC, alpha=0.3, beta=0.5, algorithms=("ls", "lp_tkr"), evaluation="bfs"),
+    ],
+)
+def test_budget_sweep_rows_equal_separate_runs(overrides):
+    cfg = tiny_config(repetitions=2, **overrides)
+    budgets = [0.1, 0.3, 0.1, 0.2]
+    swept = sweep_budget(cfg, budgets)
+    separate = [row for b in budgets for row in run_experiment(replace(cfg, budget_fraction=b))]
+    assert _without_wall_time(swept) == _without_wall_time(separate)
+    assert [r.toposet_digest for r in swept] == [r.toposet_digest for r in separate]
+    assert _without_wall_time(sweep_budget(cfg, budgets, threads=2)) == _without_wall_time(swept)
+
+
+@pytest.mark.parametrize(
+    "algorithms, passes", [(("greedy", "ls"), 1), (("hc",), 1), (("blp", "lp_tkr"), 0)]
+)
+def test_budget_sweep_builds_one_instance_and_one_greedy_pass_per_rep(monkeypatch, algorithms, passes):
+    import netvax.bench as bench
+
+    calls = {"build_instance": [], "greedy_trajectory": [], "greedy": []}
+
+    def counting(name):
+        original = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bench, name, counting(name))
+    cfg = tiny_config(n=20, samples=6, algorithms=algorithms, repetitions=3)
+    rows = sweep_budget(cfg, [0.1, 0.2, 0.4, 0.2])
+    assert len(rows) == 4 * 3 * len(algorithms)
+    assert sorted(args[1] for args in calls["build_instance"]) == [0, 1, 2]
+    assert len(calls["greedy_trajectory"]) == 3 * passes
+    assert calls["greedy"] == []
+    for instance, ks, _ in calls["greedy_trajectory"]:
+        assert ks == [2, 4, 8, 4] and instance.k == 8
+
+
+def test_greedy_rows_report_the_shared_pass_time():
+    rows = sweep_budget(tiny_config(repetitions=1), [0.1, 0.3, 0.2])
+    walls = {r.k: r.wall_time_s for r in rows}
+    assert walls[2] < walls[5] < walls[7]
+
+
 def test_sample_sweep_single_count():
     rows, stats = sweep_samples(tiny_config(repetitions=3), [10])
     assert {r.s for r in rows} == {10}

@@ -1,6 +1,9 @@
+import pytest
+
 from netvax import read_graph, read_topology_set, sample_lt
 from netvax.bench import read_csv
 from netvax.cli import main, parse_config
+from netvax.errors import FormatError
 
 
 CONFIG = """\
@@ -155,5 +158,46 @@ def test_gen_topologies_negative_seed_exits_2(tmp_path):
 
 def test_non_finite_config_values_exit_2(tmp_path):
     for line in ("box_side = inf", "box_side = nan", "variance_hi = inf", "beta = nan"):
-        cfg = write_config(tmp_path, CONFIG + line + "\n")
+        # replace the key's line if CONFIG has one: a repeated key is an error of its own
+        kept = [kept for kept in CONFIG.splitlines() if kept.split(" = ")[0] != line.split(" = ")[0]]
+        cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, line
+
+
+def test_non_utf8_input_files_exit_2(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(CONFIG.replace("# small", "# sm\xe4ll").encode("latin-1"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    gpath = tmp_path / "graph.txt"
+    gpath.write_bytes(b"graph 2 IC\n# \xff\nedge 0 1 0.5\n")
+    code = main(
+        ["gen-topologies", "--graph", str(gpath), "--samples", "2", "--seed", "1", "--out", str(tmp_path / "t.txt")]
+    )
+    assert code == 2
+    cities = tmp_path / "cities.csv"
+    cities.write_bytes(b"city,lat,lng,population,density\nM\xfcnchen,48.1,11.6,300000,5000\n")
+    city_cfg = write_config(tmp_path, f"generator = city\ncsv_path = {cities}\nscale_factor = 20000\n")
+    assert main(["run", "--config", str(city_cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    tpath = tmp_path / "topos.txt"
+    tpath.write_bytes(b"toposet 2 1 0\ntopo 0\n# \xff\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_topology_set(tpath)
+
+
+def test_repeated_config_key_exits_2(tmp_path):
+    cfg = write_config(tmp_path, CONFIG.replace("n = 24\n", "n = 16\nn = 17\n"))
+    with pytest.raises(FormatError, match="line 5: config key 'n' given twice"):
+        parse_config(cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_threads_below_one_exit_2(tmp_path):
+    cfg = write_config(tmp_path)
+    for threads in ("0", "-3"):
+        out = tmp_path / f"run{threads}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
+        assert not out.exists()
+        code = main(
+            ["sweep-budget", "--config", str(cfg), "--out", str(out), "--budgets", "0.1", "--threads", threads]
+        )
+        assert code == 2

@@ -137,6 +137,15 @@ def test_local_search_rejects_bad_start():
         local_search(inst, {1, 2})  # over budget
 
 
+def test_swap_searches_reject_start_nodes_outside_the_graph():
+    inst = hub_instance()
+    for bad in (-1, 6):
+        with pytest.raises(ContractViolationError, match="outside 0..5"):
+            local_search(inst, {bad})
+        with pytest.raises(ContractViolationError, match="outside 0..5"):
+            hill_climb(inst, {bad})
+
+
 def test_local_search_empty_start_converges():
     inst = hub_instance(k=0)
     res = local_search(inst, set())

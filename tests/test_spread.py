@@ -53,6 +53,17 @@ def test_overlapping_sets_rejected():
         infected_on(chain_topology(3), {0}, {0})
 
 
+def test_nodes_outside_the_graph_rejected():
+    inst = single_topology_instance(4, [(0, 1), (1, 2), (2, 3)], infected={0}, k=1)
+    for bad in (-1, 4):
+        with pytest.raises(ContractViolationError, match="outside 0..3"):
+            avg_saved(inst, {bad})
+        with pytest.raises(ContractViolationError, match="outside 0..3"):
+            infected_on(chain_topology(4), set(), {bad})
+        with pytest.raises(ContractViolationError, match="outside 0..3"):
+            marginal_gain(chain_topology(4), set(), bad, {0})
+
+
 def test_total_blockade():
     t = chain_topology(4)
     assert saved_on(t, {1, 2, 3}, {0}) == 3

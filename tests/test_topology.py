@@ -8,6 +8,8 @@ from netvax import (
     IC,
     LT,
     Graph,
+    Topology,
+    TopologySet,
     enumerate_all,
     generate_er,
     read_topology_set,
@@ -228,6 +230,15 @@ def test_read_topology_set_checks_topo_index(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("toposet 3 2 0\ntopo 0\ne 0 1\ntopo 5\ne 1 2\n")
     with pytest.raises(FormatError, match="line 4"):
+        read_topology_set(path)
+
+
+def test_topology_set_rejects_mu_on_only_some_topologies(tmp_path):
+    with pytest.raises(ParameterError, match="1 of 2"):
+        TopologySet([Topology(2, [], mu=0.9), Topology(2, [(0, 1)])], "", 0)
+    path = tmp_path / "mixed.txt"
+    path.write_text("toposet 2 2 0\ntopo 0 0.9\ntopo 1\ne 0 1\n")
+    with pytest.raises(FormatError, match="mu"):
         read_topology_set(path)
 
 
