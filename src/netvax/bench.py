@@ -28,7 +28,7 @@ from .generators import (
     load_city_dataset,
 )
 from .graph import IC, LT, MODELS, Graph
-from .heuristics import greedy, greedy_trajectory, hill_climb, local_search
+from .heuristics import greedy_trajectory, hill_climb, local_search
 from .lp.model import build_model
 from .lp.rounding import round_irp, round_tkr
 from .lp.solve import ENGINES, solve, solve_blp
@@ -228,14 +228,13 @@ def _solve(algorithm, config, instance, greedy_result) -> tuple[VaccinationSet |
 
 
 def run_algorithms(
-    config: ExperimentConfig, instance: ProblemInstance, rep: int, greedy_result=None
+    config: ExperimentConfig, instance: ProblemInstance, rep: int, greedy_result
 ) -> list[ResultRow]:
     """Run every configured algorithm on one shared instance.
 
-    Greedy runs here only when no ``greedy_result`` for this instance is given.
+    ``greedy_result`` is greedy's result on this instance, or None when no
+    configured algorithm needs it.
     """
-    if greedy_result is None and {"greedy", "ls", "hc"} & set(config.algorithms):
-        greedy_result = greedy(instance, evaluation=config.evaluation)
     digest = instance.topologies.digest()
     rows = []
     for algorithm in config.algorithms:
@@ -247,9 +246,14 @@ def run_algorithms(
     return rows
 
 
-def _run_rep(configs: list[ExperimentConfig], rep: int) -> list[list[ResultRow]]:
-    """One repetition's rows per budget, sorted by algorithm: one instance, one greedy pass."""
-    instance = build_instance(configs[0], rep)
+def _rows(
+    configs: list[ExperimentConfig], instance: ProblemInstance, rep: int
+) -> list[list[ResultRow]]:
+    """Rows per config on one instance, each list sorted by algorithm.
+
+    The configs differ only in their budget; one greedy pass to the largest
+    budget serves them all.
+    """
     ks = [_budget(c.budget_fraction, instance.n, len(instance.infected)) for c in configs]
     trajectory = {}
     if {"greedy", "ls", "hc"} & set(configs[0].algorithms):
@@ -281,12 +285,16 @@ def sweep_budget(
         raise ParameterError("threads must be at least 1")
     if not configs:
         return []
+
+    def rep_rows(rep):
+        return _rows(configs, build_instance(configs[0], rep), rep)
+
     reps = range(config.repetitions)
     if threads > 1 and config.repetitions > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(lambda rep: _run_rep(configs, rep), reps))
+            per_rep = list(pool.map(rep_rows, reps))
     else:
-        per_rep = [_run_rep(configs, rep) for rep in reps]
+        per_rep = [rep_rows(rep) for rep in reps]
     return [row for by_rep in zip(*per_rep) for rows in by_rep for row in rows]
 
 
@@ -313,7 +321,7 @@ def sweep_samples(
         for s in counts:
             topologies = sampler(graph, s, topo_seed)
             instance = ProblemInstance(graph, infected, k, topologies)
-            rows.extend(run_algorithms(replace(config, samples=s), instance, execution))
+            rows.extend(_rows([replace(config, samples=s)], instance, execution)[0])
     rows.sort(key=lambda r: (r.s, r.rep, r.algorithm))
     stats = []
     for algorithm in sorted({r.algorithm for r in rows}):

@@ -137,6 +137,8 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_gen_topologies(args) -> int:
+    if args.samples < 1:
+        raise ParameterError("samples must be at least 1")
     graph = read_graph(args.graph)
     sampler = sample_lt if graph.model == LT else sample_ic
     ts = sampler(graph, args.samples, args.seed)

@@ -29,7 +29,6 @@ from one kernel pass.  Set totals use BFS in both.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -165,14 +164,7 @@ class IcDominatorEvaluator(BfsEvaluator):
         root = s * n  # virtual super-source; node u of topology t is row t*n + u
         seeds = np.array(self.infected, dtype=np.int32)
         seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()
-        lists = [t.live_edges for t in instance.topologies]
-        sizes = [len(edges) for edges in lists]
-        live = np.fromiter(  # one pass over every edge tuple; np.array on them is slower
-            itertools.chain.from_iterable(itertools.chain.from_iterable(lists)),
-            dtype=np.int32,
-            count=2 * sum(sizes),
-        ).reshape(-1, 2)
-        live += np.repeat(np.arange(s, dtype=np.int32) * n, sizes)[:, None]
+        live = instance.topologies.stacked_edges()
         # the super-source's empty row makes every seed's Dom row {seed}, so
         # no other edge into a seed can change a row
         into_seed = np.zeros(root, dtype=bool)

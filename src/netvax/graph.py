@@ -68,7 +68,8 @@ class Graph:
         self.n = int(n)
         self.model = model
         self.edges = tuple(edge_list)
-        self.coords = coords
+        # None, not (), for a 0-node graph: its file has no coord line to read back
+        self.coords = coords or None
 
         out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]

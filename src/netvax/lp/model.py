@@ -110,11 +110,10 @@ def build_model(
     num_vars = i_base + n
 
     # edge rows: x(t,j) - x(t,i) - I(i) <= 0 for each live edge (j -> i)
-    edges = [np.array(topo.live_edges, dtype=np.int64).reshape(-1, 2) for topo in instance.topologies]
-    base = np.repeat(np.arange(s, dtype=np.int64) * n, [len(e) for e in edges])
-    src, dst = np.concatenate(edges).T
-    num_edges = len(src)
-    edge_cols = np.column_stack([base + src, base + dst, i_base + dst]).ravel()
+    # the stacked rows t*n+j and t*n+i are already the x(t, j) and x(t, i) columns
+    x_src, x_dst = instance.topologies.stacked_edges().astype(np.int64).T
+    num_edges = len(x_src)
+    edge_cols = np.column_stack([x_src, x_dst, i_base + x_dst % n]).ravel()
     edge_vals = np.tile([1.0, -1.0, -1.0], num_edges)
 
     # singleton equality rows: seed x pins, seed I pins, pinned_ones

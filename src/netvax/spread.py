@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, ContractViolationError, ModelMismatchError, ParameterError
 from .graph import LT, Graph
 from .topology import Topology, TopologySet
-from .util import as_rng
+from .util import as_rng, first_repeat
 
 # Guard for the brute-force oracle: number of candidate subsets it will scan.
 EXHAUSTIVE_MAX_SUBSETS = 2_000_000
@@ -53,19 +53,23 @@ class ProblemInstance:
             raise ParameterError("budget k must satisfy 0 <= k <= n - |infected|")
         if self.topologies.topologies and self.topologies.n != n:
             raise ParameterError("topology node count does not match the graph")
-        pairs = {(src, dst) for src, dst, _ in self.graph.edges}
-        for t, topo in enumerate(self.topologies):
-            if not pairs.issuperset(topo.live_edges):
-                src, dst = next(e for e in topo.live_edges if e not in pairs)
-                raise ParameterError(f"topology {t}: live edge ({src},{dst}) is not a graph edge")
-            if self.graph.model == LT:
-                heads = set()
-                for _, dst in topo.live_edges:
-                    if dst in heads:
-                        raise ModelMismatchError(
-                            f"LT topology {t}: node {dst} has two incoming live edges"
-                        )
-                    heads.add(dst)
+        # both checks read the stacked layout: row t * n + u is node u of topology t
+        edges = self.topologies.stacked_edges()
+        local = edges % n
+        known = np.array([src * n + dst for src, dst, _ in self.graph.edges], dtype=np.int64)
+        unknown = ~np.isin(local[:, 0].astype(np.int64) * n + local[:, 1], known)
+        if unknown.any():
+            row = int(np.argmax(unknown))
+            src, dst = local[row].tolist()
+            raise ParameterError(
+                f"topology {edges[row, 0] // n}: live edge ({src},{dst}) is not a graph edge"
+            )
+        twice = first_repeat(edges[:, 1]) if self.graph.model == LT else None
+        if twice is not None:
+            head = int(edges[twice, 1])
+            raise ModelMismatchError(
+                f"LT topology {head // n}: node {head % n} has two incoming live edges"
+            )
 
     @property
     def n(self) -> int:

@@ -17,53 +17,84 @@ import numpy as np
 
 from .errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 from .graph import IC, LT, Graph, validate
-from .util import fmt_float, text_lines
+from .util import first_repeat, fmt_float, text_lines
 
 # Enumeration guards: IC is exponential in the edge count, LT in the product
 # of per-node (indegree + 1) choices.
 IC_ENUM_MAX_EDGES = 20
 LT_ENUM_MAX_CHOICES = 2**20
 
+# Live edges are int32 arrays, and a stacked set numbers node u of topology t
+# as t * n + u, so s * n must stay within int32.
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 class Topology:
-    """Unweighted directed realization; optionally carries its probability mu."""
+    """Unweighted directed realization; optionally carries its probability mu.
 
-    __slots__ = ("n", "live_edges", "mu", "_out")
+    The live edges are held once, as a read-only (E, 2) int32 array ``edges``
+    in the given order; ``live_edges`` and the adjacency ``out`` are derived
+    from it.
+    """
+
+    __slots__ = ("n", "edges", "mu", "_out")
 
     def __init__(self, n: int, live_edges: Iterable[tuple[int, int]], mu: float | None = None):
-        self.n = int(n)
-        self.live_edges = tuple((int(s), int(d)) for s, d in live_edges)
-        for s, d in self.live_edges:
-            if not (0 <= s < n and 0 <= d < n):
-                raise IndexError(f"live edge ({s},{d}) outside 0..{n - 1}")
+        n = int(n)
+        if not 0 <= n <= _INT32_MAX:
+            raise ParameterError(f"node count {n} outside 0..{_INT32_MAX}")
+        if not isinstance(live_edges, np.ndarray):
+            live_edges = list(live_edges)
+        try:
+            edges = np.array(live_edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError as exc:
+            raise IndexError(f"a live edge lies outside 0..{n - 1}") from exc
+        outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+        if len(outside):
+            s, d = edges[outside[0]].tolist()
+            raise IndexError(f"live edge ({s},{d}) outside 0..{n - 1}")
+        twice = first_repeat(edges[:, 0] * n + edges[:, 1])
+        if twice is not None:
+            s, d = edges[twice].tolist()
+            raise ParameterError(f"live edge ({s},{d}) given twice")
         if mu is not None and not (0.0 < mu <= 1.0):
             raise ParameterError("mu must lie in (0, 1]")
+        self.n = n
+        self.edges = edges.astype(np.int32)
+        self.edges.flags.writeable = False
         self.mu = mu
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for s, d in self.live_edges:
-            out[s].append(d)
-        self._out = tuple(tuple(a) for a in out)
+        self._out = None
+
+    @property
+    def live_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edges.tolist()))
 
     @property
     def out(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the heads of its live out-edges in edge order; built on first use."""
+        if self._out is None:
+            src = self.edges[:, 0]
+            heads = self.edges[np.argsort(src, kind="stable"), 1].tolist()
+            ends = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
+            self._out = tuple(tuple(heads[a:b]) for a, b in zip([0, *ends], ends))
         return self._out
 
     def __eq__(self, other):
         if not isinstance(other, Topology):
             return NotImplemented
-        return self.n == other.n and self.live_edges == other.live_edges and self.mu == other.mu
+        return self.n == other.n and self.mu == other.mu and np.array_equal(self.edges, other.edges)
 
     def __hash__(self):
-        return hash((self.n, self.live_edges, self.mu))
+        return hash((self.n, self.edges.tobytes(), self.mu))
 
     def __repr__(self):
-        return f"Topology(n={self.n}, live={len(self.live_edges)}, mu={self.mu})"
+        return f"Topology(n={self.n}, live={len(self.edges)}, mu={self.mu})"
 
 
 class TopologySet:
     """A list of topologies sharing one source graph, plus sampling metadata."""
 
-    __slots__ = ("topologies", "source_graph_hash", "seed", "mu")
+    __slots__ = ("topologies", "source_graph_hash", "seed", "mu", "_stacked")
 
     def __init__(self, topologies: Sequence[Topology], source_graph_hash: str, seed: int):
         tops = tuple(topologies)
@@ -77,6 +108,7 @@ class TopologySet:
         self.mu = np.array([t.mu for t in tops], dtype=float) if given else None
         self.source_graph_hash = source_graph_hash
         self.seed = int(seed)
+        self._stacked = None
 
     def __len__(self) -> int:
         return len(self.topologies)
@@ -90,6 +122,24 @@ class TopologySet:
     @property
     def n(self) -> int:
         return self.topologies[0].n if self.topologies else 0
+
+    def stacked_edges(self) -> np.ndarray:
+        """Every live edge as (t * n + src, t * n + dst), topology by topology.
+
+        Node u of topology t is row t * n + u, which is also the LP's x(t, u)
+        index.  Built once per set and read-only.
+        """
+        if self._stacked is None:
+            if len(self.topologies) * self.n > _INT32_MAX:
+                raise CapacityError(
+                    f"{len(self.topologies)} topologies of {self.n} nodes exceed int32 row ids"
+                )
+            stacked = np.concatenate([np.empty((0, 2), dtype=np.int32), *(t.edges for t in self.topologies)])
+            sizes = [len(t.edges) for t in self.topologies]
+            stacked += np.repeat(np.arange(len(sizes), dtype=np.int32) * self.n, sizes)[:, None]
+            stacked.flags.writeable = False
+            self._stacked = stacked
+        return self._stacked
 
     def weights(self) -> np.ndarray:
         """Per-topology weights: exact mu when enumerated, else uniform 1/s."""
@@ -175,16 +225,9 @@ def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
 def sample_ic(graph: Graph, s: int, seed: int) -> TopologySet:
     """Sample s IC realizations: every edge independently live with its p."""
     _check_sampling_pre(graph, IC, s, seed)
-    probs = np.array([v for _, _, v in graph.edges])
-    topologies = []
-    for t in range(s):
-        rng = _topology_rng(seed, t)
-        if graph.m:
-            live_mask = rng.random(graph.m) < probs
-            live = [(src, dst) for (src, dst, _), keep in zip(graph.edges, live_mask) if keep]
-        else:
-            live = []
-        topologies.append(Topology(graph.n, live))
+    pairs = np.array([(src, dst) for src, dst, _ in graph.edges], dtype=np.int32).reshape(-1, 2)
+    probs = np.array([v for _, _, v in graph.edges], dtype=float)
+    topologies = [Topology(graph.n, pairs[_topology_rng(seed, t).random(graph.m) < probs]) for t in range(s)]
     return TopologySet(topologies, graph.digest(), seed)
 
 
@@ -297,6 +340,8 @@ def read_topology_set(path, source_graph_hash: str = "") -> TopologySet:
         try:
             if parts[0] == "toposet":
                 n = int(parts[1])
+                if n < 0:
+                    raise FormatError(f"line {lineno}: negative node count {n}")
                 expected = int(parts[2])
                 seed = int(parts[3])
             elif parts[0] == "topo":

@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG coercion, rounding, float serialization."""
+"""Small shared helpers: RNG coercion, rounding, float serialization, repeats."""
 
 from __future__ import annotations
 
@@ -31,6 +31,16 @@ def substream_seed(master_seed: int, *key: int) -> int:
 def round_half_up(x: float) -> int:
     """round(2.5) == 3, unlike banker's rounding."""
     return int(math.floor(x + 0.5))
+
+
+def first_repeat(values: np.ndarray) -> int | None:
+    """Index of the first entry of a 1-D array that equals an earlier one, or None."""
+    _, first = np.unique(values, return_index=True)
+    if len(first) == len(values):
+        return None
+    repeat = np.ones(len(values), dtype=bool)
+    repeat[first] = False
+    return int(np.argmax(repeat))
 
 
 def fmt_float(x: float) -> str:

@@ -20,6 +20,8 @@ from netvax.lp.model import build_model
 from netvax.lp.solve import solve, solve_blp
 from netvax.util import round_half_up
 
+pytestmark = pytest.mark.acceptance
+
 _shared = {}
 
 

@@ -155,25 +155,33 @@ def test_budget_sweep_rows_equal_separate_runs(overrides):
     assert _without_wall_time(sweep_budget(cfg, budgets, threads=2)) == _without_wall_time(swept)
 
 
-@pytest.mark.parametrize(
-    "algorithms, passes", [(("greedy", "ls"), 1), (("hc",), 1), (("blp", "lp_tkr"), 0)]
-)
-def test_budget_sweep_builds_one_instance_and_one_greedy_pass_per_rep(monkeypatch, algorithms, passes):
+@pytest.fixture
+def calls(monkeypatch):
+    """Arguments of every call to the harness's instance builder and greedy entry points."""
     import netvax.bench as bench
+    import netvax.heuristics as heuristics
 
     calls = {"build_instance": [], "greedy_trajectory": [], "greedy": []}
 
-    def counting(name):
-        original = getattr(bench, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name].append(args)
             return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(bench, name, counting(name))
+    counting(bench, "build_instance")
+    counting(bench, "greedy_trajectory")
+    counting(heuristics, "greedy")  # the harness has no greedy of its own to patch
+    return calls
+
+
+@pytest.mark.parametrize(
+    "algorithms, passes", [(("greedy", "ls"), 1), (("hc",), 1), (("blp", "lp_tkr"), 0)]
+)
+def test_budget_sweep_builds_one_instance_and_one_greedy_pass_per_rep(calls, algorithms, passes):
     cfg = tiny_config(n=20, samples=6, algorithms=algorithms, repetitions=3)
     rows = sweep_budget(cfg, [0.1, 0.2, 0.4, 0.2])
     assert len(rows) == 4 * 3 * len(algorithms)
@@ -182,6 +190,16 @@ def test_budget_sweep_builds_one_instance_and_one_greedy_pass_per_rep(monkeypatc
     assert calls["greedy"] == []
     for instance, ks, _ in calls["greedy_trajectory"]:
         assert ks == [2, 4, 8, 4] and instance.k == 8
+
+
+def test_sample_sweep_runs_one_greedy_pass_per_instance(calls):
+    cfg = tiny_config(n=20, algorithms=("greedy", "ls", "hc"), repetitions=2)
+    rows, _ = sweep_samples(cfg, [3, 5, 4])
+    assert len(rows) == 2 * 3 * 3
+    assert len(calls["build_instance"]) == 1
+    assert calls["greedy"] == []
+    passes = [(len(instance.topologies), ks) for instance, ks, _ in calls["greedy_trajectory"]]
+    assert passes == [(s, [2]) for _ in range(2) for s in (3, 5, 4)]
 
 
 def test_greedy_rows_report_the_shared_pass_time():

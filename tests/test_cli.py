@@ -156,6 +156,17 @@ def test_gen_topologies_negative_seed_exits_2(tmp_path):
     assert code == 2
 
 
+def test_gen_topologies_without_samples_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "graph.txt"
+    assert main(["gen-graph", "--config", str(write_config(tmp_path)), "--out", str(gpath)]) == 0
+    for samples in ("0", "-2"):
+        out = tmp_path / f"t{samples}.txt"
+        code = main(["gen-topologies", "--graph", str(gpath), "--samples", samples, "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_non_finite_config_values_exit_2(tmp_path):
     for line in ("box_side = inf", "box_side = nan", "variance_hi = inf", "beta = nan"):
         # replace the key's line if CONFIG has one: a repeated key is an error of its own

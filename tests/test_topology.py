@@ -248,3 +248,25 @@ def test_weights_uniform_when_sampled():
     assert np.allclose(ts.weights(), 0.25)
     enum = enumerate_all(Graph(2, [(0, 1, 0.3)], IC))
     assert np.allclose(sorted(enum.weights()), [0.3, 0.7])
+
+
+def test_topology_rejects_negative_n_and_repeated_live_edge():
+    with pytest.raises(ParameterError, match="node count"):
+        Topology(-3, [])
+    with pytest.raises(ParameterError, match=r"live edge \(0,1\) given twice"):
+        Topology(3, [(0, 1), (1, 2), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("toposet -3 1 0\ntopo 0\n", "line 1: negative node count"),
+        ("toposet -3 0 0\n", "line 1: negative node count"),
+        ("toposet 3 1 0\ntopo 0\ne 0 1\ne 0 1\n", r"line 2: topology 0: live edge \(0,1\) given twice"),
+    ],
+)
+def test_read_topology_set_rejects_negative_n_and_repeated_live_edge(tmp_path, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match):
+        read_topology_set(path)
