@@ -194,7 +194,10 @@ def read_graph(path) -> Graph:
                 n = int(parts[1])
                 model = parts[2]
             elif parts[0] == "coord":
-                coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                node = int(parts[1])
+                if node in coords:
+                    raise FormatError(f"line {lineno}: coord for node {node} given twice")
+                coords[node] = (float(parts[2]), float(parts[3]))
             elif parts[0] == "edge":
                 edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
             else:
@@ -212,5 +215,5 @@ def read_graph(path) -> Graph:
         coord_list = [coords[i] for i in range(n)]
     try:
         return Graph(n, edges, model, coord_list)
-    except IndexError as exc:
+    except (IndexError, ParameterError) as exc:
         raise FormatError(str(exc)) from exc

@@ -4,6 +4,7 @@ from .model import (
     LpModel,
     LpSolution,
     build_model,
+    pruned_view,
     verify_solution,
     write_lp_file,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "LpModel",
     "LpSolution",
     "build_model",
+    "pruned_view",
     "verify_solution",
     "write_lp_file",
     "round_irp",

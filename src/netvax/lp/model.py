@@ -22,6 +22,9 @@ matrix ``A`` (column indices sorted within each row), a right-hand side
 3. ``I(i) = 0`` for every infected i (ascending);
 4. ``I(c) = 1`` for every ``pinned_ones`` entry, in the given order;
 5. the budget row ``sum of I(j) over non-infected j <= k``.
+
+``pruned_view`` picks out the columns and rows that can matter at an
+optimum, for the solves that run on a smaller model.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from ..errors import ParameterError
 from ..spread import ProblemInstance
@@ -152,6 +156,50 @@ def build_model(
         s=s,
         budget=instance.k,
     )
+
+
+def pruned_view(model: LpModel, vaccinated: Iterable[int] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The kept columns and kept rows of a model, as ascending index arrays.
+
+    An ``x(t, i)`` column is kept when some seed reaches node i in topology t
+    along live edges that enter no ``vaccinated`` node.  Any other ``x`` has a
+    positive weight and nothing that pushes it up, so it is 0 at every
+    optimum, and an edge row leaving it cannot bind.  Every ``I(j)`` column is
+    kept.  The kept rows are the edge rows whose source column is kept, every
+    pin row and the budget row.
+
+    The live edges are read back from the model's own edge rows (``+1`` on
+    the source ``x``, ``-1`` on the destination ``x``), and one breadth-first
+    search from a super-source that feeds every seed's ``x`` finds the kept
+    columns.
+    """
+    A, x_end = model.A, model.s * model.n
+    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    on_x = A.indices < x_end
+    edge_row = ~model.eq
+    edge_row[-1] = False  # the budget row
+    src = np.full(A.shape[0], -1)
+    dst = np.full(A.shape[0], -1)
+    on_edge = on_x & edge_row[row_of]
+    head = on_edge & (A.data > 0)
+    tail = on_edge & (A.data < 0)
+    src[row_of[head]] = A.indices[head]
+    dst[row_of[tail]] = A.indices[tail]
+    seeds = A.indices[on_x & model.eq[row_of]]
+
+    live = (src >= 0) & (dst >= 0)
+    blocked = np.zeros(model.n, dtype=bool)
+    blocked[np.fromiter(vaccinated, dtype=np.int64)] = True
+    live[live] = ~blocked[dst[live] % model.n]
+    heads = np.concatenate([src[live], np.full(len(seeds), x_end)])
+    tails = np.concatenate([dst[live], seeds])
+    graph = csr_matrix((np.ones(len(heads), dtype=np.int8), (heads, tails)), shape=(x_end + 1, x_end + 1))
+    reached = np.zeros(x_end + 1, dtype=bool)
+    reached[breadth_first_order(graph, x_end, return_predecessors=False)] = True
+
+    cols = np.concatenate([np.flatnonzero(reached[:x_end]), np.arange(x_end, model.num_vars)])
+    rows = np.flatnonzero(~edge_row | (src < 0) | reached[src])
+    return cols, rows
 
 
 def verify_solution(

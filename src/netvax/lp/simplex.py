@@ -59,36 +59,26 @@ def solve_simplex(
     b = np.asarray(rhs, dtype=float) - A @ lower
     u_struct = upper - lower
 
-    # one +1 slack column per <= row, in row order
+    # one +1 slack column per <= row, in row order; rows with b < 0 are
+    # negated, and a row starts with its slack basic only if that slack
+    # stays +1, otherwise with a +1 artificial column of its own
     slack_rows = np.flatnonzero(~eq)
     ns = len(slack_rows)
-    slack_of_row = np.full(m, -1)
-    slack_of_row[slack_rows] = nv + np.arange(ns)
-    T = np.zeros((m, nv + ns))
-    T[:, :nv] = A
-    T[slack_rows, slack_of_row[slack_rows]] = 1.0
-    for r in range(m):
-        if b[r] < 0.0:
-            T[r] *= -1.0
-            b[r] = -b[r]
-
-    basis = np.full(m, -1, dtype=int)
-    art_rows = []
-    for r in range(m):
-        sc = slack_of_row[r]
-        if sc >= 0 and T[r, sc] > 0.5:
-            basis[r] = sc
-        else:
-            art_rows.append(r)
+    flip = b < 0.0
+    art_rows = np.flatnonzero(eq | flip)
     na = len(art_rows)
-    if na:
-        Ta = np.zeros((m, na))
-        for k, r in enumerate(art_rows):
-            Ta[r, k] = 1.0
-            basis[r] = nv + ns + k
-        T = np.hstack([T, Ta])
     total = nv + ns + na
     art_start = nv + ns
+    T = np.zeros((m, total))
+    T[:, :nv] = A
+    T[slack_rows, nv + np.arange(ns)] = 1.0
+    T[flip, :art_start] *= -1.0
+    b[flip] = -b[flip]
+    T[art_rows, art_start + np.arange(na)] = 1.0
+
+    basis = np.full(m, -1, dtype=int)
+    basis[slack_rows] = nv + np.arange(ns)
+    basis[art_rows] = art_start + np.arange(na)
     u = np.concatenate([u_struct, np.full(ns + na, np.inf)])
 
     status = np.zeros(total, dtype=np.int8)

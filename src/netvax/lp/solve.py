@@ -6,6 +6,10 @@ models and cross-checks).  Binary models are solved exactly by branch and
 bound: branch on the most fractional vaccination variable, explore in
 best-bound order with depth-first tie-breaks, and stop at ``node_cap``
 nodes with a capacity status.
+
+Every simplex solve and every branch-and-bound node LP runs on the
+reachability-pruned view of ``pruned_view``; relaxed HiGHS solves keep the
+full model.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from scipy.optimize import linprog
 
 from ..errors import ParameterError
 from ..spread import ProblemInstance, VaccinationSet
-from .model import LpModel, LpSolution, build_model
+from .model import LpModel, LpSolution, build_model, pruned_view
 from .simplex import solve_simplex
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -27,35 +31,45 @@ _PRUNE_TOL = 1e-9
 ENGINES = ("highs", "simplex")
 
 
-def _solve_relaxed(model, engine, lower, upper):
-    """One relaxed solve under the given bounds; returns (status, values, objective)."""
-    c = model.objective
+def _solve_relaxed(model, engine, lower, upper, view=None):
+    """One relaxed solve under the given bounds; returns (status, values, objective).
+
+    With a ``view`` from ``pruned_view`` the engine sees only the kept
+    columns and rows, and every dropped column comes back as 0.
+    """
+    c, A, rhs, eq, lo, hi = model.objective, model.A, model.rhs, model.eq, lower, upper
+    if view is not None:
+        cols, rows = view
+        c, A, rhs, eq, lo, hi = c[cols], A[rows][:, cols], rhs[rows], eq[rows], lo[cols], hi[cols]
     if engine == "highs":
-        ub, eq = ~model.eq, model.eq
         res = linprog(
             c,
-            A_ub=model.A[ub],
-            b_ub=model.rhs[ub],
-            A_eq=model.A[eq],
-            b_eq=model.rhs[eq],
-            bounds=np.column_stack([lower, upper]),
+            A_ub=A[~eq],
+            b_ub=rhs[~eq],
+            A_eq=A[eq],
+            b_eq=rhs[eq],
+            bounds=np.column_stack([lo, hi]),
             method="highs",
         )
-        if res.status == 0:
-            values = np.clip(res.x, lower, upper)
-            return "optimal", values, float(np.dot(c, values))
         if res.status == 2:
             return "infeasible", None, None
-        return "capacity", None, None
-    if engine == "simplex":
-        res = solve_simplex(c, model.A, model.rhs, model.eq, lower, upper)
-        if res.status == "optimal":
-            values = np.clip(res.x, lower, upper)
-            return "optimal", values, float(np.dot(c, values))
+        if res.status != 0:
+            return "capacity", None, None
+    elif engine == "simplex":
+        res = solve_simplex(c, A, rhs, eq, lo, hi)
         if res.status == "unbounded":
             raise RuntimeError("unbounded LP; infection models are box-bounded")
-        return res.status, None, None
-    raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        if res.status != "optimal":
+            return res.status, None, None
+    else:
+        raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if view is None:
+        values = res.x
+    else:
+        values = np.zeros(model.num_vars)
+        values[view[0]] = res.x
+    values = np.clip(values, lower, upper)
+    return "optimal", values, float(np.dot(model.objective, values))
 
 
 def _pinned_values(model: LpModel) -> tuple[set[int], set[int]]:
@@ -84,9 +98,13 @@ def _bounds_for(model, fixed0, fixed1):
 def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
     int_vars = sorted(model.integral)
     must0, must1 = _pinned_values(model)
+    i_base = model.s * model.n
 
-    lower, upper = _bounds_for(model, (), ())
-    status, values, objective = _solve_relaxed(model, engine, lower, upper)
+    def node_lp(fixed0, fixed1):
+        view = pruned_view(model, [v - i_base for v in fixed1])
+        return _solve_relaxed(model, engine, *_bounds_for(model, fixed0, fixed1), view)
+
+    status, values, objective = node_lp((), ())
     if status != "optimal":
         return LpSolution(status=status, values=(), objective=float("nan"))
 
@@ -97,8 +115,7 @@ def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
         nonlocal incumbent_values, incumbent_obj
         fixed1 = frozenset(assignment1 | must1)
         fixed0 = frozenset(v for v in int_vars if v not in fixed1)
-        lo, hi = _bounds_for(model, fixed0, fixed1)
-        st, vals, obj = _solve_relaxed(model, engine, lo, hi)
+        st, vals, obj = node_lp(fixed0, fixed1)
         if st == "optimal" and obj < incumbent_obj:
             incumbent_values, incumbent_obj = vals, obj
 
@@ -123,8 +140,7 @@ def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
                 values=tuple() if incumbent_values is None else tuple(incumbent_values),
                 objective=incumbent_obj if incumbent_values is not None else float("nan"),
             )
-        lo, hi = _bounds_for(model, fixed0, fixed1)
-        status, values, objective = _solve_relaxed(model, engine, lo, hi)
+        status, values, objective = node_lp(fixed0, fixed1)
         if status != "optimal" or objective >= incumbent_obj - _PRUNE_TOL:
             continue
         branch_var = -1
@@ -157,8 +173,10 @@ def solve(model: LpModel, engine: str = "highs", node_cap: int = DEFAULT_NODE_CA
         raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if model.integral:
         return _branch_and_bound(model, engine, node_cap)
-    lower, upper = _bounds_for(model, (), ())
-    status, values, objective = _solve_relaxed(model, engine, lower, upper)
+    # HiGHS keeps the full model: on the view it can return another optimal
+    # vertex, and the rounding that reads the vertex would pick another set
+    view = pruned_view(model) if engine == "simplex" else None
+    status, values, objective = _solve_relaxed(model, engine, *_bounds_for(model, (), ()), view)
     if status != "optimal":
         return LpSolution(status=status, values=(), objective=float("nan"))
     return LpSolution(status="optimal", values=tuple(values), objective=objective)

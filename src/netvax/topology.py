@@ -178,8 +178,8 @@ class TopologySet:
 def _check_sampling_pre(graph: Graph, model: str, s: int, seed: int) -> None:
     if graph.model != model:
         raise ModelMismatchError(f"expected a {model} graph, got {graph.model}")
-    if s < 0:
-        raise ParameterError("sample count must be non-negative")
+    if s < 1:
+        raise ParameterError("sample count must be at least 1")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
     report = validate(graph)

@@ -1,4 +1,9 @@
-"""Property tests for the graph and topology files and the stacked live-edge layout."""
+"""Property tests for the graph, topology and config files and the stacked live-edge layout.
+
+The corruption tests flip, insert or delete bytes of valid files: a reader
+either reads the result or raises its documented error, and the CLI exits 0
+or 2, never with a traceback.
+"""
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from netvax import (
     write_graph,
     write_topology_set,
 )
+from netvax.cli import main, parse_config
+from netvax.errors import FormatError, ParameterError
 
 unit = st.floats(0.0, 1.0)
 
@@ -92,3 +99,90 @@ def test_stacked_edges_offset_each_topology(ts):
     for arr in [stacked, *(t.edges for t in ts)]:
         with pytest.raises(ValueError, match="read-only"):
             arr += 1
+
+
+@st.composite
+def corruptions(draw, data: bytes, max_ops: int = 4):
+    """``data`` with 1 to ``max_ops`` bytes flipped by one bit, inserted or deleted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, max_ops))):
+        op = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if op == "insert":
+            at = draw(st.integers(0, len(data)))
+            data[at:at] = bytes([draw(st.integers(0, 255))])
+        elif data:
+            at = draw(st.integers(0, len(data) - 1))
+            if op == "flip":
+                data[at] ^= 1 << draw(st.integers(0, 7))
+            else:
+                del data[at]
+    return bytes(data)
+
+
+def corrupted_file(draw, path, text: str, max_ops: int = 4):
+    path.write_bytes(draw(corruptions(text.encode(), max_ops)))
+    return path
+
+
+@settings(max_examples=200)
+@given(graph=graphs(), data=st.data())
+def test_corrupted_graph_file_raises_only_format_error(scratch, graph, data):
+    path = corrupted_file(data.draw, scratch / "graph.txt", graph.serialize())
+    try:
+        read_graph(path)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=200)
+@given(ts=topology_sets() | enumerated_sets(), data=st.data())
+def test_corrupted_topology_file_raises_only_format_error(scratch, ts, data):
+    path = corrupted_file(data.draw, scratch / "topos.txt", ts.serialize())
+    try:
+        read_topology_set(path)
+    except FormatError:
+        pass
+
+
+# one-digit values: a single inserted byte keeps every size below 100
+SMALL_CONFIG = """\
+# small ER experiment
+model = IC
+generator = er
+n = 9
+er_p = 0.3
+infected_fraction = 0.2
+budget_fraction = 0.2
+samples = 3
+algorithms = greedy
+seed = 5
+repetitions = 1
+evaluation = structural
+"""
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_corrupted_config_raises_only_format_or_parameter_error(scratch, data):
+    path = corrupted_file(data.draw, scratch / "exp.cfg", SMALL_CONFIG)
+    try:
+        parse_config(path)
+    except (FormatError, ParameterError):
+        pass
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_run_on_corrupted_config_exits_0_or_2(scratch, data):
+    # one corruption per example: the experiment runs when the config stays valid
+    path = corrupted_file(data.draw, scratch / "exp.cfg", SMALL_CONFIG, max_ops=1)
+    assert main(["run", "--config", str(path), "--out", str(scratch / "rows.csv")]) in (0, 2)
+
+
+@settings(max_examples=60)
+@given(model=st.sampled_from([LT, IC]), seed=st.integers(0, 2**20), data=st.data())
+def test_gen_topologies_on_corrupted_graph_exits_0_or_2(scratch, model, seed, data):
+    graph = generate_er(8, 0.3, model, seed)
+    path = corrupted_file(data.draw, scratch / "graph.txt", graph.serialize())
+    args = ["gen-topologies", "--graph", str(path), "--samples", "2", "--seed", "1"]
+    assert main(args + ["--out", str(scratch / "topos.txt")]) in (0, 2)

@@ -119,6 +119,22 @@ def test_read_graph_out_of_range_edge(tmp_path):
         read_graph(p)
 
 
+def test_read_graph_repeated_coord(tmp_path):
+    p = tmp_path / "twice.graph"
+    p.write_text("graph 2 IC\ncoord 0 0 0\ncoord 0 5 5\ncoord 1 1 1\nedge 0 1 0.5\n")
+    with pytest.raises(FormatError, match="line 3: coord for node 0 given twice"):
+        read_graph(p)
+
+
+def test_read_graph_bad_header_values(tmp_path):
+    # Graph(...) rejects these with ParameterError; the reader reports a FormatError
+    p = tmp_path / "bad.graph"
+    for header in ("graph 8 I", "graph -2 IC"):
+        p.write_text(header + "\n")
+        with pytest.raises(FormatError):
+            read_graph(p)
+
+
 def test_digest_changes_with_content():
     g1 = Graph(2, [(0, 1, 0.5)], IC)
     g2 = Graph(2, [(0, 1, 0.25)], IC)

@@ -27,7 +27,7 @@ from netvax import (
 )
 from netvax.errors import ParameterError
 from netvax.generators import generate_er
-from netvax.lp.model import LpSolution
+from netvax.lp.model import LpSolution, pruned_view
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "lp"
 
@@ -122,6 +122,33 @@ def test_edge_constraint_shape():
         model.x_index(0, 1): -1.0,
         model.i_index(1): -1.0,
     }
+
+
+def test_view_keeps_everything_when_seeds_reach_every_node():
+    # every topology is a star out of the seed, so every x(t, i) is reachable
+    n = 6
+    star = [(0, i) for i in range(1, n)]
+    g = Graph(n, [(0, i, 0.5) for i in range(1, n)], IC)
+    ts = TopologySet([Topology(n, star), Topology(n, star[::-1])], "", 0)
+    model = build_model(ProblemInstance(g, frozenset({0}), 2, ts), relaxed=True, pinned_ones=[3])
+    cols, rows = pruned_view(model)
+    assert np.array_equal(cols, np.arange(model.num_vars))
+    assert np.array_equal(rows, np.arange(model.A.shape[0]))
+
+
+def test_view_drops_unreached_columns_and_their_edge_rows():
+    # path 0 -> 1 -> 2 with node 3 isolated; seed 0
+    inst = single_topology_instance(4, [(0, 1), (1, 2)], infected={0}, k=1)
+    model = build_model(inst, relaxed=True)
+    i_cols = [model.i_index(j) for j in range(4)]
+    non_edge = list(range(2, model.A.shape[0]))
+    cols, rows = pruned_view(model)
+    assert cols.tolist() == [model.x_index(0, i) for i in (0, 1, 2)] + i_cols
+    assert rows.tolist() == [0, 1] + non_edge
+    # vaccinating node 1 cuts 1 and 2 off; the edge row out of the seed stays
+    cols, rows = pruned_view(model, vaccinated=[1])
+    assert cols.tolist() == [model.x_index(0, 0)] + i_cols
+    assert rows.tolist() == [0] + non_edge
 
 
 @pytest.mark.parametrize("pin", [-1, 4, 7])

@@ -69,6 +69,15 @@ def test_sampling_rejects_invalid_graph():
         sample_lt(bad, 1, 0)
 
 
+def test_sampling_needs_one_topology():
+    # an empty set has n = 0, so its file would lose the graph's node count
+    for sampler, model in ((sample_lt, LT), (sample_ic, IC)):
+        g = generate_er(15, 0.2, model, 3)
+        for s in (0, -1):
+            with pytest.raises(ParameterError, match="at least 1"):
+                sampler(g, s, 1)
+
+
 # --- IC sampling ----------------------------------------------------------
 
 
