@@ -32,12 +32,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import ModelMismatchError
 from .graph import IC, LT
 from .spread import ProblemInstance, weighted_total
+from .topology import stacked_levels
 
 
 class BfsEvaluator:
@@ -165,6 +164,10 @@ class IcDominatorEvaluator(BfsEvaluator):
         seeds = np.array(self.infected, dtype=np.int32)
         seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()
         live = instance.topologies.stacked_edges()
+        # BFS levels with nothing vaccinated; a row no seed reaches then stays
+        # unreached under every S, so it gets no row in the table
+        level = stacked_levels(live, s, n, seeds)
+        reached = level >= 0
         # the super-source's empty row makes every seed's Dom row {seed}, so
         # no other edge into a seed can change a row
         into_seed = np.zeros(root, dtype=bool)
@@ -173,16 +176,6 @@ class IcDominatorEvaluator(BfsEvaluator):
             [live[~into_seed[live[:, 1]]],
              np.column_stack([np.full(len(seed_rows), root, dtype=np.int32), seed_rows])]
         )
-        flow = csr_matrix(
-            (np.ones(len(edges), dtype=bool), (edges[:, 0], edges[:, 1])),
-            shape=(root + 1, root + 1),
-        )
-        # BFS levels with nothing vaccinated; a row no seed reaches then stays
-        # unreached under every S, so it gets no row in the table
-        dist = dijkstra(flow, indices=root, unweighted=True)
-        del flow
-        reached = np.isfinite(dist)
-        level = np.where(reached, dist, 0).astype(np.int32)
         edges = edges[reached[edges[:, 0]]]
         # always so on LT, where each remaining edge runs from parent to child
         self._one_sweep = bool(np.all(level[edges[:, 0]] < level[edges[:, 1]]))

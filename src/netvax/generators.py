@@ -115,18 +115,10 @@ def generate_er(n: int, p: float, model: str, rng: np.random.Generator | int) ->
     if model not in MODELS:
         raise ParameterError(f"unknown model tag {model!r}")
     rng = as_rng(rng)
-    edges = []
-    if n > 1:
-        draws = rng.random(n * (n - 1))
-        idx = 0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if draws[idx] < p:
-                    edges.append((i, j, 0.0))
-                idx += 1
-    graph = Graph(n, edges, model)
+    # the pairs i != j in row-major order, one draw each
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    linked = rng.random(n * (n - 1)) < p
+    graph = Graph(n, [(i, j, 0.0) for i, j in zip(src[linked].tolist(), dst[linked].tolist())], model)
     return _assign_values(graph, rng)
 
 
@@ -264,18 +256,19 @@ def load_city_dataset(
     missing = required - header
     if missing:
         raise FormatError(f"missing column(s): {', '.join(sorted(missing))}")
+    numeric = ("lat", "lng", "population", "density")
     for row in reader:
         lineno = reader.line_num
         try:
-            rec = CityRecord(
-                name=row["city"],
-                lat=float(row["lat"]),
-                lng=float(row["lng"]),
-                population=int(float(row["population"])),
-                density=float(row["density"]),
-            )
+            lat, lng, population, density = (float(row[key]) for key in numeric)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"line {lineno}: non-numeric field in {row!r}") from exc
+        for key, value in zip(numeric, (lat, lng, population, density)):
+            if not math.isfinite(value):
+                raise FormatError(f"line {lineno}: {key} {value!r} is not finite")
+        rec = CityRecord(
+            name=row["city"], lat=lat, lng=lng, population=int(population), density=density
+        )
         if rec.population < 0:
             raise FormatError(f"line {lineno}: negative population")
         if rec.population > 0 and rec.density <= 0.0:

@@ -191,6 +191,8 @@ def read_graph(path) -> Graph:
         parts = line.split()
         try:
             if parts[0] == "graph":
+                if n is not None:
+                    raise FormatError(f"line {lineno}: a second 'graph' header")
                 n = int(parts[1])
                 model = parts[2]
             elif parts[0] == "coord":

@@ -23,8 +23,12 @@ matrix ``A`` (column indices sorted within each row), a right-hand side
 4. ``I(c) = 1`` for every ``pinned_ones`` entry, in the given order;
 5. the budget row ``sum of I(j) over non-infected j <= k``.
 
-``pruned_view`` picks out the columns and rows that can matter at an
-optimum, for the solves that run on a smaller model.
+The model also keeps what it was built from: ``live``, the
+``TopologySet.stacked_edges()`` array itself, whose row r is the live edge
+of edge row r; ``infected``, the seeds in ascending order; and ``pins``,
+the ``pinned_ones`` nodes in the given order.  ``pruned_view`` reads those
+to pick out the columns and rows that can matter at an optimum, for the
+solves that run on a smaller model.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from ..errors import ParameterError
 from ..spread import ProblemInstance
+from ..topology import stacked_levels
 from ..util import fmt_float
 
 
@@ -53,6 +57,9 @@ class LpModel:
     n: int
     s: int
     budget: int
+    live: np.ndarray
+    infected: np.ndarray
+    pins: np.ndarray
 
     @property
     def num_vars(self) -> int:
@@ -109,20 +116,22 @@ def build_model(
             raise ParameterError(f"cannot pin node {c}: nodes lie in 0..{n - 1}")
         if c in instance.infected:
             raise ParameterError(f"cannot pin infected node {c} to vaccinated")
+    pins = np.array(pins, dtype=np.int64)
     candidates = np.array(instance.candidates(), dtype=np.int64)
     i_base = n * s
     num_vars = i_base + n
 
     # edge rows: x(t,j) - x(t,i) - I(i) <= 0 for each live edge (j -> i)
     # the stacked rows t*n+j and t*n+i are already the x(t, j) and x(t, i) columns
-    x_src, x_dst = instance.topologies.stacked_edges().astype(np.int64).T
+    live = instance.topologies.stacked_edges()
+    x_src, x_dst = live.astype(np.int64).T
     num_edges = len(x_src)
     edge_cols = np.column_stack([x_src, x_dst, i_base + x_dst % n]).ravel()
     edge_vals = np.tile([1.0, -1.0, -1.0], num_edges)
 
     # singleton equality rows: seed x pins, seed I pins, pinned_ones
     seed_x = (np.arange(s, dtype=np.int64)[:, None] * n + infected[None, :]).ravel()
-    pin_cols = np.concatenate([seed_x, i_base + infected, i_base + np.array(pins, dtype=np.int64)])
+    pin_cols = np.concatenate([seed_x, i_base + infected, i_base + pins])
     pin_rhs = np.concatenate([np.ones(len(seed_x)), np.zeros(len(infected)), np.ones(len(pins))])
     num_pins = len(pin_cols)
 
@@ -155,6 +164,9 @@ def build_model(
         n=n,
         s=s,
         budget=instance.k,
+        live=live,
+        infected=infected,
+        pins=pins,
     )
 
 
@@ -166,39 +178,18 @@ def pruned_view(model: LpModel, vaccinated: Iterable[int] = ()) -> tuple[np.ndar
     positive weight and nothing that pushes it up, so it is 0 at every
     optimum, and an edge row leaving it cannot bind.  Every ``I(j)`` column is
     kept.  The kept rows are the edge rows whose source column is kept, every
-    pin row and the budget row.
-
-    The live edges are read back from the model's own edge rows (``+1`` on
-    the source ``x``, ``-1`` on the destination ``x``), and one breadth-first
-    search from a super-source that feeds every seed's ``x`` finds the kept
-    columns.
+    pin row and the budget row.  One ``stacked_levels`` search over the
+    model's ``live`` edges and ``infected`` seeds finds the kept columns.
     """
-    A, x_end = model.A, model.s * model.n
-    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    on_x = A.indices < x_end
-    edge_row = ~model.eq
-    edge_row[-1] = False  # the budget row
-    src = np.full(A.shape[0], -1)
-    dst = np.full(A.shape[0], -1)
-    on_edge = on_x & edge_row[row_of]
-    head = on_edge & (A.data > 0)
-    tail = on_edge & (A.data < 0)
-    src[row_of[head]] = A.indices[head]
-    dst[row_of[tail]] = A.indices[tail]
-    seeds = A.indices[on_x & model.eq[row_of]]
-
-    live = (src >= 0) & (dst >= 0)
-    blocked = np.zeros(model.n, dtype=bool)
-    blocked[np.fromiter(vaccinated, dtype=np.int64)] = True
-    live[live] = ~blocked[dst[live] % model.n]
-    heads = np.concatenate([src[live], np.full(len(seeds), x_end)])
-    tails = np.concatenate([dst[live], seeds])
-    graph = csr_matrix((np.ones(len(heads), dtype=np.int8), (heads, tails)), shape=(x_end + 1, x_end + 1))
-    reached = np.zeros(x_end + 1, dtype=bool)
-    reached[breadth_first_order(graph, x_end, return_predecessors=False)] = True
-
-    cols = np.concatenate([np.flatnonzero(reached[:x_end]), np.arange(x_end, model.num_vars)])
-    rows = np.flatnonzero(~edge_row | (src < 0) | reached[src])
+    n, x_end = model.n, model.s * model.n
+    vaccinated = [int(v) for v in vaccinated]
+    outside = [v for v in vaccinated if not 0 <= v < n]
+    if outside:
+        raise ParameterError(f"cannot vaccinate node {outside[0]}: nodes lie in 0..{n - 1}")
+    reached = stacked_levels(model.live, model.s, n, model.infected, vaccinated)[:x_end] >= 0
+    cols = np.concatenate([np.flatnonzero(reached), np.arange(x_end, model.num_vars)])
+    edge_rows = len(model.live)
+    rows = np.concatenate([np.flatnonzero(reached[model.live[:, 0]]), np.arange(edge_rows, model.A.shape[0])])
     return cols, rows
 
 

@@ -72,19 +72,6 @@ def _solve_relaxed(model, engine, lower, upper, view=None):
     return "optimal", values, float(np.dot(model.objective, values))
 
 
-def _pinned_values(model: LpModel) -> tuple[set[int], set[int]]:
-    """Integral variables forced to 0 or 1 by singleton equality rows."""
-    A = model.A
-    single = np.flatnonzero(model.eq & (np.diff(A.indptr) == 1))
-    var = A.indices[A.indptr[single]]
-    coef = A.data[A.indptr[single]]
-    keep = (coef != 0.0) & np.isin(var, list(model.integral))
-    var, val = var[keep], model.rhs[single][keep] / coef[keep]
-    must0 = {int(v) for v in var[np.abs(val) <= _INT_TOL]}
-    must1 = {int(v) for v in var[np.abs(val - 1.0) <= _INT_TOL]}
-    return must0, must1
-
-
 def _bounds_for(model, fixed0, fixed1):
     lower = model.lower.copy()
     upper = model.upper.copy()
@@ -97,8 +84,10 @@ def _bounds_for(model, fixed0, fixed1):
 
 def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
     int_vars = sorted(model.integral)
-    must0, must1 = _pinned_values(model)
     i_base = model.s * model.n
+    # seeds are never vaccinated; pinned nodes always are
+    must0 = set((i_base + model.infected).tolist())
+    must1 = set((i_base + model.pins).tolist())
 
     def node_lp(fixed0, fixed1):
         view = pruned_view(model, [v - i_base for v in fixed1])

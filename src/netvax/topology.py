@@ -14,6 +14,8 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 from .graph import IC, LT, Graph, validate
@@ -175,6 +177,27 @@ class TopologySet:
         return hash((self.topologies, self.source_graph_hash, self.seed))
 
 
+def stacked_levels(live: np.ndarray, s: int, n: int, seeds, vaccinated=()) -> np.ndarray:
+    """The BFS level of every row of a stacked layout, -1 where unreached.
+
+    ``live`` is a ``TopologySet.stacked_edges()`` array over s topologies of
+    n nodes.  The search starts at the super-source, row s * n (level 0),
+    which feeds every seed's row in every topology (level 1).  Live edges
+    that enter a ``vaccinated`` node are dropped, so such a node is reached
+    only if it is a seed.
+    """
+    root = s * n  # stacked_edges() keeps s * n, and so every row id here, within int32
+    seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + np.asarray(seeds, dtype=np.int32)).ravel()
+    blocked = np.zeros(n, dtype=bool)
+    blocked[np.asarray(vaccinated, dtype=np.int64)] = True
+    kept = ~blocked[live[:, 1] % n]
+    heads = np.concatenate([live[kept, 0], np.full(len(seed_rows), root, dtype=np.int32)])
+    tails = np.concatenate([live[kept, 1], seed_rows])
+    graph = csr_matrix((np.ones(len(heads), dtype=bool), (heads, tails)), shape=(root + 1, root + 1))
+    dist = dijkstra(graph, indices=root, unweighted=True)
+    return np.where(np.isfinite(dist), dist, -1).astype(np.int32)
+
+
 def _check_sampling_pre(graph: Graph, model: str, s: int, seed: int) -> None:
     if graph.model != model:
         raise ModelMismatchError(f"expected a {model} graph, got {graph.model}")
@@ -245,31 +268,38 @@ def enumerate_all(graph: Graph) -> TopologySet:
     return _enumerate_lt(graph)
 
 
+def _combinations(options):
+    """Each choice of one option per list, as (live edges, mu).
+
+    An option is ``(edge or None, factor)``; mu multiplies the factors in
+    list order, and the live edges come in list order too.
+    """
+    for combo in itertools.product(*options):
+        mu = 1.0
+        live = []
+        for edge, factor in combo:
+            mu *= factor
+            if edge is not None:
+                live.append(edge)
+        yield live, mu
+
+
 def _enumerate_ic(graph: Graph) -> TopologySet:
     if graph.m > IC_ENUM_MAX_EDGES:
         raise CapacityError(
             f"IC enumeration needs 2^{graph.m} topologies; guard is 2^{IC_ENUM_MAX_EDGES}"
         )
-    # Per-edge options: (live?, factor); drop impossible branches up front.
+    # Per-edge options: live or dead with its factor; drop impossible branches
+    # up front.  A validated p lies in [0, 1], so every edge keeps an option.
     options = []
     for src, dst, p in graph.edges:
         opts = []
         if p > 0.0:
-            opts.append((True, p))
+            opts.append(((src, dst), p))
         if p < 1.0:
-            opts.append((False, 1.0 - p))
+            opts.append((None, 1.0 - p))
         options.append(opts)
-    topologies = []
-    for combo in itertools.product(*options):
-        mu = 1.0
-        live = []
-        for (is_live, factor), (src, dst, _) in zip(combo, graph.edges):
-            mu *= factor
-            if is_live:
-                live.append((src, dst))
-        topologies.append(Topology(graph.n, live, mu=mu))
-    if not topologies:
-        topologies.append(Topology(graph.n, [], mu=1.0))
+    topologies = [Topology(graph.n, live, mu=mu) for live, mu in _combinations(options)]
     return TopologySet(topologies, graph.digest(), seed=0)
 
 
@@ -297,16 +327,7 @@ def _enumerate_lt(graph: Graph) -> TopologySet:
         if 1.0 - total > 0.0:
             opts.append((None, 1.0 - total))
         options.append(opts)
-    topologies = []
-    for combo in itertools.product(*options):
-        mu = 1.0
-        live = []
-        for choice, factor in combo:
-            mu *= factor
-            if choice is not None:
-                live.append(choice)
-        live.sort()
-        topologies.append(Topology(graph.n, live, mu=mu))
+    topologies = [Topology(graph.n, sorted(live), mu=mu) for live, mu in _combinations(options)]
     return TopologySet(topologies, graph.digest(), seed=0)
 
 
@@ -339,6 +360,8 @@ def read_topology_set(path, source_graph_hash: str = "") -> TopologySet:
         parts = line.split()
         try:
             if parts[0] == "toposet":
+                if n is not None:
+                    raise FormatError(f"line {lineno}: a second 'toposet' header")
                 n = int(parts[1])
                 if n < 0:
                     raise FormatError(f"line {lineno}: negative node count {n}")

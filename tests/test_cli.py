@@ -195,6 +195,22 @@ def test_non_utf8_input_files_exit_2(tmp_path):
         read_topology_set(tpath)
 
 
+@pytest.mark.parametrize("field", ["lat", "lng", "population", "density"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_city_field_exits_2(tmp_path, capsys, field, value):
+    bad = {"city": "Bad", "lat": "48.1", "lng": "11.6", "population": "300000", "density": "5000"}
+    bad[field] = value
+    cities = tmp_path / "cities.csv"
+    cities.write_text(
+        "city,lat,lng,population,density\nGood,48.0,11.5,200000,4000\n" + ",".join(bad.values()) + "\n"
+    )
+    cfg = write_config(tmp_path, f"generator = city\ncsv_path = {cities}\nscale_factor = 20000\n")
+    out = tmp_path / "graph.txt"
+    assert main(["gen-graph", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"line 3: {field} {float(value)!r} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repeated_config_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, CONFIG.replace("n = 24\n", "n = 16\nn = 17\n"))
     with pytest.raises(FormatError, match="line 5: config key 'n' given twice"):

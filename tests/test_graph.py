@@ -126,6 +126,13 @@ def test_read_graph_repeated_coord(tmp_path):
         read_graph(p)
 
 
+def test_read_graph_rejects_a_second_header(tmp_path):
+    p = tmp_path / "twice.graph"
+    p.write_text("graph 2 IC\nedge 0 1 0.5\ngraph 3 LT\n")
+    with pytest.raises(FormatError, match="line 3: a second 'graph' header"):
+        read_graph(p)
+
+
 def test_read_graph_bad_header_values(tmp_path):
     # Graph(...) rejects these with ParameterError; the reader reports a FormatError
     p = tmp_path / "bad.graph"

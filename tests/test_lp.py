@@ -151,6 +151,24 @@ def test_view_drops_unreached_columns_and_their_edge_rows():
     assert rows.tolist() == [0] + non_edge
 
 
+def test_model_keeps_its_live_edges_seeds_and_pins():
+    inst = random_instance(3, n=6, s=2, n_infected=2, k=2)
+    pins = inst.candidates()[::-1][:2]
+    model = build_model(inst, relaxed=True, pinned_ones=pins)
+    assert model.live is inst.topologies.stacked_edges()
+    assert model.infected.tolist() == sorted(inst.infected)
+    assert model.pins.tolist() == pins
+
+
+@pytest.mark.parametrize("node", [-1, 4, 7, 2**70])
+def test_view_rejects_vaccinated_node_outside_node_range(node):
+    # a path 0 -> 1 -> 2 -> 3; -1 must not stand for node 3
+    inst = single_topology_instance(4, [(0, 1), (1, 2), (2, 3)], infected={0}, k=1)
+    model = build_model(inst, relaxed=True)
+    with pytest.raises(ParameterError, match=f"cannot vaccinate node {node}: nodes lie in 0..3"):
+        pruned_view(model, [node])
+
+
 @pytest.mark.parametrize("pin", [-1, 4, 7])
 def test_pin_outside_node_range_rejected(pin):
     inst = single_topology_instance(4, [(0, 1), (1, 2)], infected={0}, k=2)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_instance
 
-from netvax import IC, LT, ProblemInstance, build_model, enumerate_all, generate_er, solve, verify_solution
+from netvax import IC, LT, ProblemInstance, build_model, enumerate_all, generate_er, infected_on, solve, verify_solution
 from netvax.lp import ENGINES, pruned_view, solve_simplex
 from netvax.lp.solve import _bounds_for, _solve_relaxed
 
@@ -64,6 +64,22 @@ def pins_for(inst, data):
 def whole_model(model, vaccinated=()):
     """A view that keeps every column and row, so B&B solves the full model."""
     return np.arange(model.num_vars), np.arange(model.A.shape[0])
+
+
+@settings(max_examples=150)
+@given(inst=instances(), data=st.data())
+def test_view_keeps_the_x_columns_of_exactly_the_infected_nodes(inst, data):
+    # the spread definition, not a second search, says which x(t, i) the view keeps
+    model = build_model(inst, relaxed=True)
+    candidates = inst.candidates()
+    vaccinated = data.draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    cols, _ = pruned_view(model, vaccinated)
+    expected = [
+        model.x_index(t, i)
+        for t, topology in enumerate(inst.topologies)
+        for i in sorted(infected_on(topology, vaccinated, inst.infected))
+    ]
+    assert cols[cols < model.s * model.n].tolist() == expected
 
 
 @settings(max_examples=150)

@@ -228,6 +228,14 @@ def test_read_topology_set_out_of_range_edge_in_last_topology(tmp_path):
         read_topology_set(path)
 
 
+def test_read_topology_set_rejects_a_second_header(tmp_path):
+    # without the check, topology 0 would be read against the second header's n
+    path = tmp_path / "twice.txt"
+    path.write_text("toposet 3 2 0\ntopo 0\ne 0 1\ntoposet 5 2 9\ntopo 1\ne 3 4\n")
+    with pytest.raises(FormatError, match="line 4: a second 'toposet' header"):
+        read_topology_set(path)
+
+
 def test_read_topology_set_edge_before_first_topo(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("toposet 3 1 0\ne 0 1\ntopo 0\n")
