@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,22 @@ def _require_model(graph: Graph, model: str) -> None:
         raise ModelMismatchError(f"expected a {model} graph, got {graph.model}")
 
 
+def _lt_weights(n: int, dst: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One uniform weight per edge, each node's incoming sum >= 1 rescaled to 0.99."""
+    weights = rng.random(len(dst))
+    # bincount adds in edge order, one edge after another
+    incoming_sum = np.bincount(dst, weights=weights, minlength=n)
+    # Rescale whenever the sum would fail the strict-(<1) validation check.
+    over = incoming_sum > 1.0 - 1e-9
+    scale = np.ones(n)
+    scale[over] = LT_RESCALE_TARGET / incoming_sum[over]
+    return weights * scale[dst]
+
+
+def _edge_values(n: int, dst: np.ndarray, model: str, rng: np.random.Generator) -> np.ndarray:
+    return _lt_weights(n, dst, rng) if model == LT else rng.random(len(dst))
+
+
 def assign_lt_weights(graph: Graph, rng: np.random.Generator | int) -> Graph:
     """Draw uniform LT weights, rescaling any node's incoming sum >= 1 to 0.99.
 
@@ -78,35 +95,21 @@ def assign_lt_weights(graph: Graph, rng: np.random.Generator | int) -> Graph:
     always validates.
     """
     _require_model(graph, LT)
-    rng = as_rng(rng)
-    values = list(rng.random(graph.m))
-    incoming_sum = [0.0] * graph.n
-    for (src, dst, _), w in zip(graph.edges, values):
-        incoming_sum[dst] += w
-    # Rescale whenever the sum would fail the strict-(<1) validation check.
-    scale = [
-        LT_RESCALE_TARGET / s if s > 1.0 - 1e-9 else 1.0 for s in incoming_sum
-    ]
-    values = [w * scale[dst] for (src, dst, _), w in zip(graph.edges, values)]
-    return graph.with_values(values)
+    return graph.with_values(_lt_weights(graph.n, graph.dst, as_rng(rng)))
 
 
 def assign_ic_probs(graph: Graph, rng: np.random.Generator | int) -> Graph:
     """Independent uniform(0,1) transmission probability per edge."""
     _require_model(graph, IC)
-    rng = as_rng(rng)
-    return graph.with_values(list(rng.random(graph.m)))
-
-
-def _assign_values(graph: Graph, rng: np.random.Generator) -> Graph:
-    return assign_lt_weights(graph, rng) if graph.model == LT else assign_ic_probs(graph, rng)
+    return graph.with_values(as_rng(rng).random(graph.m))
 
 
 def generate_er(n: int, p: float, model: str, rng: np.random.Generator | int) -> Graph:
     """Directed G(n, p): each ordered pair (i, j), i != j, independently linked.
 
     Pair decisions consume one uniform draw each, in ascending (i, j) order,
-    so a fixed seed reproduces the same graph.
+    so a fixed seed reproduces the same graph.  The edge values are drawn
+    after every pair decision.
     """
     if n < 0:
         raise ParameterError("n must be non-negative")
@@ -118,8 +121,8 @@ def generate_er(n: int, p: float, model: str, rng: np.random.Generator | int) ->
     # the pairs i != j in row-major order, one draw each
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
     linked = rng.random(n * (n - 1)) < p
-    graph = Graph(n, [(i, j, 0.0) for i, j in zip(src[linked].tolist(), dst[linked].tolist())], model)
-    return _assign_values(graph, rng)
+    pairs = np.column_stack((src[linked], dst[linked]))
+    return Graph(n, pairs, model, values=_edge_values(n, pairs[:, 1], model, rng))
 
 
 def waxman_edge_prob(d: float, params: WaxmanParams, L: float) -> float:
@@ -140,7 +143,7 @@ def _waxman_graph(
     generation is reproducible independent of which links materialize.
     """
     n = len(points)
-    edges: list[tuple[int, int, float]] = []
+    src = dst = np.zeros(0, dtype=np.int64)
     if n > 1:
         iu, ju = np.triu_indices(n, k=1)
         d = np.hypot(points[iu, 0] - points[ju, 0], points[iu, 1] - points[ju, 1])
@@ -150,14 +153,13 @@ def _waxman_graph(
         else:
             # All nodes coincide: d = 0 everywhere, so the link probability is alpha.
             probs = np.full(len(d), params.alpha)
-        draws = rng.random(len(d))
-        for i, j in zip(iu[draws < probs], ju[draws < probs]):
-            edges.append((int(i), int(j), 0.0))
-            edges.append((int(j), int(i), 0.0))
-    edges.sort(key=lambda e: (e[0], e[1]))
-    coords = [(float(x), float(y)) for x, y in points]
-    graph = Graph(n, edges, model, coords)
-    return _assign_values(graph, rng)
+        linked = rng.random(len(d)) < probs
+        src = np.concatenate((iu[linked], ju[linked]))
+        dst = np.concatenate((ju[linked], iu[linked]))
+    # both directions of every linked pair, ascending (src, dst)
+    order = np.lexsort((dst, src))
+    pairs = np.column_stack((src[order], dst[order]))
+    return Graph(n, pairs, model, points, values=_edge_values(n, pairs[:, 1], model, rng))
 
 
 def _sample_center_points(
@@ -242,10 +244,12 @@ def load_city_dataset(
     Sigma is proportional to sqrt(population / density); without an explicit
     ``sigma_constant`` the largest sigma is normalized to box_side / 8.
     """
-    if f <= 0:
+    if isinstance(f, bool) or not isinstance(f, numbers.Integral) or f <= 0:
         raise ParameterError("scale factor f must be a positive integer")
-    if box_side <= 0.0:
-        raise ParameterError("box_side must be positive")
+    if not 0.0 < box_side < math.inf:
+        raise ParameterError("box_side must be finite and positive")
+    if sigma_constant is not None and not 0.0 < sigma_constant < math.inf:
+        raise ParameterError("sigma_constant must be finite and positive")
     if min_nodes < 0:
         raise ParameterError("min_nodes must be non-negative")
 
@@ -296,8 +300,6 @@ def load_city_dataset(
     if sigma_constant is None:
         c = (box_side * SIGMA_BOX_FRACTION) / max(raw_sigma)
     else:
-        if sigma_constant <= 0.0:
-            raise ParameterError("sigma_constant must be positive")
         c = sigma_constant
     centers = tuple(
         (x, y, count, c * s)

@@ -3,8 +3,10 @@
 Edge values are interpreted per the graph's model tag: influence weights for
 the linear threshold (LT) model, transmission probabilities for the
 independent cascade (IC) model.  A ``Graph`` is immutable after construction
-and indexes its edges both by source and by destination, so forward
-traversal and incoming-edge queries are both O(degree).
+and holds its edges once, as read-only arrays in the given order; the
+per-node adjacency (by source and by destination) is built from them on
+first use, after which forward traversal and incoming-edge queries are both
+O(degree).
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import FormatError, ParameterError
-from .util import fmt_float, text_lines
+from .util import fmt_float, reject_extra_fields, repeats, text_lines
 
 LT = "LT"
 IC = "IC"
@@ -23,6 +27,9 @@ MODELS = (LT, IC)
 # Incoming LT weight sums at or above this cap fail validation; rescaling can
 # land arbitrarily close to 1, so "strictly less than 1" carries a tolerance.
 LT_INCOMING_CAP = 1.0 - 1e-9
+
+# Fields after the record name, per record kind of the graph file.
+_RECORD_FIELDS = {"graph": 2, "coord": 3, "edge": 3}
 
 
 @dataclass(frozen=True)
@@ -38,61 +45,104 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-class Graph:
-    """Immutable directed graph with per-edge values and optional coordinates."""
+def _edge_rows(edges, dtype, fields: tuple[str, ...]) -> np.ndarray:
+    """The edges as a 2-D array: one row per edge, one column per field."""
+    rows = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=dtype)
+    if rows.size == 0:
+        rows = rows.reshape(0, len(fields))
+    if rows.ndim != 2 or rows.shape[1] != len(fields):
+        raise ParameterError(f"each edge must be a ({', '.join(fields)}) tuple")
+    return rows
 
-    __slots__ = ("n", "model", "edges", "coords", "_out", "_in")
+
+class Graph:
+    """Immutable directed graph with per-edge values and optional coordinates.
+
+    Edge i runs from ``src[i]`` to ``dst[i]`` with value ``value[i]``: int64,
+    int64 and float64 read-only arrays.  ``edges`` and the adjacency queries
+    are derived from them.
+    """
+
+    __slots__ = ("n", "model", "src", "dst", "value", "coords", "_out", "_in")
 
     def __init__(
         self,
         n: int,
-        edges: Iterable[tuple[int, int, float]],
+        edges: Iterable,
         model: str,
         coords: Sequence[tuple[float, float]] | None = None,
+        *,
+        values: Sequence[float] | None = None,
     ):
+        """``edges`` holds (src, dst, value) triples, or (src, dst) pairs when
+        ``values`` gives the edge values, one per pair and in the same order."""
         if model not in MODELS:
             raise ParameterError(f"unknown model tag {model!r}; expected one of {MODELS}")
         if n < 0:
             raise ParameterError("node count must be non-negative")
-        edge_list = []
-        for src, dst, value in edges:
-            src = int(src)
-            dst = int(dst)
-            if not (0 <= src < n and 0 <= dst < n):
-                raise IndexError(f"edge ({src},{dst}) references a node outside 0..{n - 1}")
-            edge_list.append((src, dst, float(value)))
+        n = int(n)
+        try:
+            if values is None:
+                # object rows convert each field the way int() and float() do
+                rows = _edge_rows(edges, object, ("src", "dst", "value"))
+                pairs, values = rows[:, :2], rows[:, 2]
+            else:
+                pairs = _edge_rows(edges, np.int64, ("src", "dst"))
+            src, dst = np.ascontiguousarray(pairs.T, dtype=np.int64)
+        except OverflowError as exc:
+            raise IndexError(f"an edge references a node outside 0..{n - 1}") from exc
+        value = np.array(values, dtype=np.float64)
+        if value.shape != src.shape:
+            raise ParameterError("one value per edge required")
+        outside = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        if len(outside):
+            i = outside[0]
+            raise IndexError(f"edge ({src[i]},{dst[i]}) references a node outside 0..{n - 1}")
         if coords is not None:
-            coords = tuple((float(x), float(y)) for x, y in coords)
-            if len(coords) != n:
+            points = np.array(coords, dtype=float)
+            if points.shape != (n, 2) and not (n == 0 and points.size == 0):
                 raise ParameterError("coords must list one (x, y) pair per node")
-        self.n = int(n)
+            # None, not (), for a 0-node graph: its file has no coord line to read back
+            coords = tuple(map(tuple, points.tolist())) or None
+        for array in (src, dst, value):
+            array.flags.writeable = False
+        self.n = n
         self.model = model
-        self.edges = tuple(edge_list)
-        # None, not (), for a 0-node graph: its file has no coord line to read back
-        self.coords = coords or None
-
-        out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for src, dst, value in self.edges:
-            out[src].append((dst, value))
-            incoming[dst].append((src, value))
-        self._out = tuple(tuple(sorted(a)) for a in out)
-        self._in = tuple(tuple(sorted(a)) for a in incoming)
+        self.src, self.dst, self.value = src, dst, value
+        self.coords = coords
+        self._out = None
+        self._in = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.src)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Every edge as (src, dst, value), in the given order."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.value.tolist()))
+
+    def _adjacency(self, heads: np.ndarray, tails: np.ndarray) -> tuple:
+        """Per node of ``heads``, its (tail, value) pairs ascending."""
+        order = np.lexsort((self.value, tails, heads))
+        pairs = list(zip(tails[order].tolist(), self.value[order].tolist()))
+        ends = np.cumsum(np.bincount(heads, minlength=self.n)).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
 
     def out_neighbors(self, i: int) -> tuple[tuple[int, float], ...]:
         """Edges leaving node i as (dst, value), ascending by dst."""
         if not 0 <= i < self.n:
             raise IndexError(f"node {i} outside 0..{self.n - 1}")
+        if self._out is None:
+            self._out = self._adjacency(self.src, self.dst)
         return self._out[i]
 
     def in_neighbors(self, j: int) -> tuple[tuple[int, float], ...]:
         """Edges entering node j as (src, value), ascending by src."""
         if not 0 <= j < self.n:
             raise IndexError(f"node {j} outside 0..{self.n - 1}")
+        if self._in is None:
+            self._in = self._adjacency(self.dst, self.src)
         return self._in[j]
 
     def out_degree(self, i: int) -> int:
@@ -104,10 +154,7 @@ class Graph:
 
     def with_values(self, values: Sequence[float]) -> "Graph":
         """Copy of this graph with edge values replaced positionally."""
-        if len(values) != len(self.edges):
-            raise ParameterError("one value per edge required")
-        new_edges = [(s, d, float(v)) for (s, d, _), v in zip(self.edges, values)]
-        return Graph(self.n, new_edges, self.model, self.coords)
+        return Graph(self.n, np.column_stack((self.src, self.dst)), self.model, self.coords, values=values)
 
     def serialize(self) -> str:
         """Canonical text form; also the on-disk format (see write_graph)."""
@@ -125,7 +172,8 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
+        # identity first: a nan value equals only itself, as inside one tuple
+        return self is other or (
             self.n == other.n
             and self.model == other.model
             and self.edges == other.edges
@@ -133,7 +181,9 @@ class Graph:
         )
 
     def __hash__(self):
-        return hash((self.n, self.model, self.edges, self.coords))
+        # + 0.0 turns -0.0 into 0.0, which it equals; nan hashes by its bits
+        edges = (self.src.tobytes(), self.dst.tobytes(), (self.value + 0.0).tobytes())
+        return hash((self.n, self.model, edges, self.coords))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, model={self.model})"
@@ -149,27 +199,35 @@ def validate(graph: Graph) -> ValidationReport:
 
     Rules checked: no self-loops, no duplicate (src, dst) pairs, edge values
     in [0, 1] for either model, and for LT graphs each node's incoming weight
-    sum strictly below 1 (with tolerance, see LT_INCOMING_CAP).
+    sum strictly below 1 (with tolerance, see LT_INCOMING_CAP).  Edge
+    violations come in edge order, then LT nodes in ascending order.
     """
+    src, dst, value = graph.src, graph.dst, graph.value
+    loop = src == dst
+    repeat = repeats(src * graph.n + dst)
+    off_range = ~((value >= 0.0) & (value <= 1.0))  # nan is off range too
+    kind = "probability" if graph.model == IC else "weight"
     violations: list[Violation] = []
-    seen: set[tuple[int, int]] = set()
-    for src, dst, value in graph.edges:
-        subject = f"edge ({src},{dst})"
-        if src == dst:
+    flagged = np.flatnonzero(loop | repeat | off_range)
+    for s, d, v, is_loop, is_repeat, is_off_range in zip(
+        *(a[flagged].tolist() for a in (src, dst, value, loop, repeat, off_range))
+    ):
+        subject = f"edge ({s},{d})"
+        if is_loop:
             violations.append(Violation(subject, "self-loop", "self-loops are not allowed"))
-        if (src, dst) in seen:
+        if is_repeat:
             violations.append(Violation(subject, "duplicate-edge", "duplicate (src,dst) pair"))
-        seen.add((src, dst))
-        if not (0.0 <= value <= 1.0):
-            kind = "probability" if graph.model == IC else "weight"
-            violations.append(Violation(subject, "value-range", f"{kind} {value!r} out of [0,1]"))
+        if is_off_range:
+            violations.append(Violation(subject, "value-range", f"{kind} {v!r} out of [0,1]"))
     if graph.model == LT:
-        for j in range(graph.n):
-            total = sum(v for _, v in graph.in_neighbors(j))
-            if total > LT_INCOMING_CAP:
-                violations.append(
-                    Violation(f"node {j}", "lt-incoming-sum", f"incoming sum {total:.12g} >= 1")
-                )
+        # bincount adds in input order: per node, ascending (src, value) as in in_neighbors
+        order = np.lexsort((value, src))
+        totals = np.bincount(dst[order], weights=value[order], minlength=graph.n)
+        over = np.flatnonzero(totals > LT_INCOMING_CAP)
+        for j, total in zip(over.tolist(), totals[over].tolist()):
+            violations.append(
+                Violation(f"node {j}", "lt-incoming-sum", f"incoming sum {total:.12g} >= 1")
+            )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -190,6 +248,7 @@ def read_graph(path) -> Graph:
             continue
         parts = line.split()
         try:
+            reject_extra_fields(parts, _RECORD_FIELDS, lineno)
             if parts[0] == "graph":
                 if n is not None:
                     raise FormatError(f"line {lineno}: a second 'graph' header")

@@ -56,7 +56,7 @@ class ProblemInstance:
         # both checks read the stacked layout: row t * n + u is node u of topology t
         edges = self.topologies.stacked_edges()
         local = edges % n
-        known = np.array([src * n + dst for src, dst, _ in self.graph.edges], dtype=np.int64)
+        known = self.graph.src * n + self.graph.dst
         unknown = ~np.isin(local[:, 0].astype(np.int64) * n + local[:, 1], known)
         if unknown.any():
             row = int(np.argmax(unknown))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 from .graph import IC, LT, Graph, validate
-from .util import first_repeat, fmt_float, text_lines
+from .util import first_repeat, fmt_float, reject_extra_fields, text_lines
 
 # Enumeration guards: IC is exponential in the edge count, LT in the product
 # of per-node (indegree + 1) choices.
@@ -29,6 +28,10 @@ LT_ENUM_MAX_CHOICES = 2**20
 # Live edges are int32 arrays, and a stacked set numbers node u of topology t
 # as t * n + u, so s * n must stay within int32.
 _INT32_MAX = np.iinfo(np.int32).max
+
+# Fields after the record name, per record kind of the topology file; a
+# 'topo' line carries its mu only when the set was enumerated.
+_RECORD_FIELDS = {"toposet": 3, "topo": 2, "e": 2}
 
 
 class Topology:
@@ -217,40 +220,60 @@ def _topology_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _lt_choices(graph: Graph) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+    """The incoming edges of every node, grouped by head and ascending by source.
+
+    Returns the edges as (src, dst) rows in that order, the index of each
+    edge's head among the nodes with incoming edges, the number of such
+    nodes, and each edge's running weight sum within its head before and
+    after its own weight.  A running sum adds the weights one after another,
+    as ``acc += w`` does: heads whose in-degrees share a power of two form one
+    zero-padded matrix for ``np.cumsum``, so padding stays below the edge count.
+    """
+    order = np.lexsort((graph.value, graph.src, graph.dst))
+    dst, weights = graph.dst[order], graph.value[order]
+    _, first, head, degree = np.unique(dst, return_index=True, return_inverse=True, return_counts=True)
+    after = np.empty(len(weights))
+    bucket = np.log2(degree).astype(np.int64)
+    for b in np.unique(bucket):
+        rows = np.flatnonzero(bucket == b)
+        cols = np.arange(degree[rows].max())
+        present = cols < degree[rows, None]
+        at = (first[rows, None] + cols)[present]
+        padded = np.zeros(present.shape)
+        padded[present] = weights[at]
+        after[at] = np.cumsum(padded, axis=1)[present]
+    before = np.zeros(len(weights))
+    before[1:] = after[:-1]
+    before[first] = 0.0
+    return np.column_stack((graph.src[order], dst)), head, len(first), before, after
+
+
 def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
     """Sample s LT live-edge realizations: per node, at most one incoming edge.
 
     For each node j the incoming edge (i -> j) is selected with probability
     w_ij, and no edge with the leftover 1 - sum of incoming weights, via a
-    single uniform draw walked over incoming edges in ascending source order.
+    single uniform draw walked over incoming edges in ascending source order:
+    the first edge whose running weight sum exceeds the draw is live.  A
+    topology draws one uniform per node with incoming edges, ascending.
     """
     _check_sampling_pre(graph, LT, s, seed)
-    in_lists = [graph.in_neighbors(j) for j in range(graph.n)]
+    pairs, head, n_heads, before, after = _lt_choices(graph)
     topologies = []
     for t in range(s):
-        rng = _topology_rng(seed, t)
-        live = []
-        for j in range(graph.n):
-            incoming = in_lists[j]
-            if not incoming:
-                continue
-            u = rng.random()
-            acc = 0.0
-            for src, w in incoming:
-                acc += w
-                if u < acc:
-                    live.append((src, j))
-                    break
-        topologies.append(Topology(graph.n, live))
+        u = _topology_rng(seed, t).random(n_heads)[head]
+        # weights are >= 0, so running sums rise along a head's edges and at
+        # most one edge of each head has its draw in [before, after)
+        topologies.append(Topology(graph.n, pairs[(before <= u) & (u < after)]))
     return TopologySet(topologies, graph.digest(), seed)
 
 
 def sample_ic(graph: Graph, s: int, seed: int) -> TopologySet:
     """Sample s IC realizations: every edge independently live with its p."""
     _check_sampling_pre(graph, IC, s, seed)
-    pairs = np.array([(src, dst) for src, dst, _ in graph.edges], dtype=np.int32).reshape(-1, 2)
-    probs = np.array([v for _, _, v in graph.edges], dtype=float)
-    topologies = [Topology(graph.n, pairs[_topology_rng(seed, t).random(graph.m) < probs]) for t in range(s)]
+    pairs = np.column_stack((graph.src, graph.dst))
+    topologies = [Topology(graph.n, pairs[_topology_rng(seed, t).random(graph.m) < graph.value]) for t in range(s)]
     return TopologySet(topologies, graph.digest(), seed)
 
 
@@ -359,6 +382,7 @@ def read_topology_set(path, source_graph_hash: str = "") -> TopologySet:
             continue
         parts = line.split()
         try:
+            reject_extra_fields(parts, _RECORD_FIELDS, lineno)
             if parts[0] == "toposet":
                 if n is not None:
                     raise FormatError(f"line {lineno}: a second 'toposet' header")

@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG coercion, rounding, float serialization, repeats."""
+"""Small shared helpers: RNG coercion, rounding, float serialization, repeats, file records."""
 
 from __future__ import annotations
 
@@ -33,19 +33,31 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def first_repeat(values: np.ndarray) -> int | None:
-    """Index of the first entry of a 1-D array that equals an earlier one, or None."""
+def repeats(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a 1-D array that equal an earlier entry."""
     _, first = np.unique(values, return_index=True)
-    if len(first) == len(values):
-        return None
     repeat = np.ones(len(values), dtype=bool)
     repeat[first] = False
-    return int(np.argmax(repeat))
+    return repeat
+
+
+def first_repeat(values: np.ndarray) -> int | None:
+    """Index of the first entry of a 1-D array that equals an earlier one, or None."""
+    repeat = repeats(values)
+    return int(np.argmax(repeat)) if repeat.any() else None
 
 
 def fmt_float(x: float) -> str:
     """Decimal text with 17 significant digits; round-trips float64 exactly."""
     return "%.17g" % x
+
+
+def reject_extra_fields(parts: list[str], most: dict[str, int], lineno: int) -> None:
+    """A record line with more fields than its kind takes (``most``) is a FormatError."""
+    limit = most.get(parts[0])
+    if limit is not None and len(parts) - 1 > limit:
+        extra = " ".join(parts[limit + 1 :])
+        raise FormatError(f"line {lineno}: unexpected field(s) {extra!r} after a {parts[0]!r} record")
 
 
 def text_lines(path) -> list[str]:

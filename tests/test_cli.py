@@ -228,3 +228,14 @@ def test_threads_below_one_exit_2(tmp_path):
             ["sweep-budget", "--config", str(cfg), "--out", str(out), "--budgets", "0.1", "--threads", threads]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("text", ["graph 3 IC extra\n", "graph 3 IC\nedge 0 1 0.5 9\n"])
+def test_gen_topologies_graph_file_with_extra_field_exits_2(tmp_path, capsys, text):
+    gpath = tmp_path / "extra.graph"
+    gpath.write_text(text)
+    code = main(
+        ["gen-topologies", "--graph", str(gpath), "--samples", "2", "--seed", "1", "--out", str(tmp_path / "t.txt")]
+    )
+    assert code == 2
+    assert "unexpected field" in capsys.readouterr().err

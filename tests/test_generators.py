@@ -270,3 +270,39 @@ def test_city_sigma_normalized_to_box_fraction(tmp_path):
     )
     model = load_city_dataset(p, f=10_000, box_side=8.0)
     assert max(c[3] for c in model.centers) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(box_side=math.nan), "box_side"),
+        (dict(box_side=math.inf), "box_side"),
+        (dict(sigma_constant=math.nan), "sigma_constant"),
+        (dict(sigma_constant=math.inf), "sigma_constant"),
+        (dict(sigma_constant=-1.0), "sigma_constant"),
+        (dict(f=math.nan), "scale factor"),
+        (dict(f=2.5), "scale factor"),
+        (dict(f=0), "scale factor"),
+    ],
+)
+def test_city_rejects_bad_arguments(tmp_path, kwargs, message):
+    p = write_csv(tmp_path, "city,lat,lng,population,density\nA,40.0,-74.0,300000,5000\n")
+    args = dict(f=10_000, box_side=1.0) | kwargs
+    with pytest.raises(ParameterError, match=message):
+        load_city_dataset(p, **args)
+
+
+def test_generators_build_each_graph_once(tmp_path, monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    generate_er(12, 0.3, LT, 1)
+    generate_gaussian_waxman(20, 2, WaxmanParams(0.4, 0.2), IC, 1)
+    p = write_csv(tmp_path, "city,lat,lng,population,density\nA,40.0,-74.0,300000,5000\n")
+    generate_city(load_city_dataset(p, f=10_000, box_side=1.0), WaxmanParams(0.4, 0.2), LT, 1)
+    assert built == [12, 20, 30]

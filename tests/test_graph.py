@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from netvax import IC, LT, Graph, in_neighbors, read_graph, validate, write_graph
@@ -147,3 +148,69 @@ def test_digest_changes_with_content():
     g2 = Graph(2, [(0, 1, 0.25)], IC)
     assert g1.digest() != g2.digest()
     assert g1.digest() == Graph(2, [(0, 1, 0.5)], IC).digest()
+
+
+def test_graph_holds_its_edges_once_as_read_only_arrays():
+    g = Graph(3, [(2, 0, 0.25), (0, 1, 0.5)], IC)
+    assert g.src.tolist() == [2, 0] and g.dst.tolist() == [0, 1] and g.value.tolist() == [0.25, 0.5]
+    assert (g.src.dtype, g.dst.dtype, g.value.dtype) == (np.int64, np.int64, np.float64)
+    for array in (g.src, g.dst, g.value):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert g.edges == ((2, 0, 0.25), (0, 1, 0.5))
+    assert g.m == 2
+
+
+def test_graph_from_pairs_and_values_equals_graph_from_triples():
+    pairs = np.array([[2, 0], [0, 1]])
+    g = Graph(3, pairs, LT, values=[0.25, 0.5])
+    pairs[0, 0] = 1  # the graph keeps its own copy
+    assert g == Graph(3, [(2, 0, 0.25), (0, 1, 0.5)], LT)
+    assert g.with_values([0.1, 0.2]).edges == ((2, 0, 0.1), (0, 1, 0.2))
+    with pytest.raises(ParameterError, match="one value per edge"):
+        Graph(3, pairs, LT, values=[0.5])
+    with pytest.raises(ParameterError, match="one value per edge"):
+        g.with_values([0.5])
+
+
+def test_graph_rejects_malformed_edges():
+    with pytest.raises(ParameterError, match=r"\(src, dst, value\)"):
+        Graph(3, [(0, 1)], IC)
+    with pytest.raises(ParameterError, match=r"\(src, dst\) tuple"):
+        Graph(3, [(0, 1, 0.5)], IC, values=[0.5])
+    with pytest.raises(IndexError, match="outside"):
+        Graph(3, [(0, 2**70, 0.5)], IC)
+    with pytest.raises(ParameterError, match="coords"):
+        Graph(2, [], IC, coords=[(0.0, 0.0)])
+
+
+def test_adjacency_is_built_on_first_use():
+    g = Graph(3, [(1, 2, 0.5), (0, 2, 0.3), (2, 0, 0.1)], IC)
+    assert g._in is None and g._out is None
+    assert g.in_neighbors(2) == ((0, 0.3), (1, 0.5))
+    assert g._out is None
+    assert g.neighbors(2) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["graph 3 IC extra", "edge 0 1 0.5 9", "coord 0 0 0 7"],
+)
+def test_read_graph_rejects_extra_fields(tmp_path, line):
+    records = ["graph 3 IC", "coord 0 0 0", "coord 1 1 1", "coord 2 2 2", "edge 0 1 0.5"]
+    kind = line.split()[0]
+    at = next(i for i, r in enumerate(records) if r.split()[0] == kind)
+    records[at] = line
+    p = tmp_path / "extra.graph"
+    p.write_text("\n".join(records) + "\n")
+    with pytest.raises(FormatError, match=f"line {at + 1}: unexpected field"):
+        read_graph(p)
+
+
+def test_equal_graphs_hash_equal():
+    a = Graph(2, [(0, 1, -0.0)], IC)
+    b = Graph(2, np.array([[0, 1]]), IC, values=[0.0])
+    assert a == b and hash(a) == hash(b)
+    assert a != Graph(2, [(0, 1, 0.0)], LT)
+    nan = Graph(2, [(0, 1, math.nan)], IC)
+    assert nan == nan and {nan: 1}[nan] == 1

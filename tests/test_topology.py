@@ -287,3 +287,29 @@ def test_read_topology_set_rejects_negative_n_and_repeated_live_edge(tmp_path, t
     path.write_text(text)
     with pytest.raises(FormatError, match=match):
         read_topology_set(path)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("toposet 3 1 0 extra\ntopo 0\ne 0 1\n", 1),
+        ("toposet 3 1 0\ntopo 0 0.5 7\ne 0 1\n", 2),
+        ("toposet 3 1 0\ntopo 0\ne 0 1 7\n", 3),
+    ],
+)
+def test_read_topology_set_rejects_extra_fields(tmp_path, text, lineno):
+    path = tmp_path / "extra.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"line {lineno}: unexpected field"):
+        read_topology_set(path)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_lt_sampling_of_tiny_graphs(n):
+    assert all(t.live_edges == () for t in sample_lt(Graph(n, [], LT), 3, 0))
+    assert all(t.live_edges == () for t in sample_ic(Graph(n, [], IC), 3, 0))
+
+
+def test_lt_sampling_never_picks_a_zero_weight_edge():
+    g = Graph(3, [(0, 2, 0.0), (1, 2, 0.99)], LT)
+    assert {t.live_edges for t in sample_lt(g, 200, 4)} == {(), ((1, 2),)}
