@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import ModelMismatchError
+from .errors import ModelMismatchError, ParameterError
 from .graph import IC, LT
 from .spread import ProblemInstance, weighted_total
 from .topology import stacked_levels
@@ -311,4 +311,4 @@ def make_evaluator(instance: ProblemInstance, evaluation: str = "bfs") -> BfsEva
         if instance.graph.model == IC:
             return IcDominatorEvaluator(instance)
         raise ModelMismatchError(f"no structural evaluator for model {instance.graph.model}")
-    raise ValueError(f"unknown evaluation mode {evaluation!r}")
+    raise ParameterError(f"unknown evaluation mode {evaluation!r}")

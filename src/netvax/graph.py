@@ -59,11 +59,11 @@ class Graph:
     """Immutable directed graph with per-edge values and optional coordinates.
 
     Edge i runs from ``src[i]`` to ``dst[i]`` with value ``value[i]``: int64,
-    int64 and float64 read-only arrays.  ``edges`` and the adjacency queries
-    are derived from them.
+    int64 and float64 read-only arrays.  ``edges``, the adjacency queries and
+    the digest are derived from them, the last two on first use.
     """
 
-    __slots__ = ("n", "model", "src", "dst", "value", "coords", "_out", "_in")
+    __slots__ = ("n", "model", "src", "dst", "value", "coords", "_out", "_in", "_digest")
 
     def __init__(
         self,
@@ -112,6 +112,7 @@ class Graph:
         self.coords = coords
         self._out = None
         self._in = None
+        self._digest = None
 
     @property
     def m(self) -> int:
@@ -167,7 +168,10 @@ class Graph:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.serialize().encode()).hexdigest()
+        """SHA-256 of the graph file text; computed on first call."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.serialize().encode()).hexdigest()
+        return self._digest
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -39,7 +39,8 @@ class Topology:
 
     The live edges are held once, as a read-only (E, 2) int32 array ``edges``
     in the given order; ``live_edges`` and the adjacency ``out`` are derived
-    from it.
+    from it.  The constructor checks every edge; the samplers build through
+    ``_sampled``, whose edges their validated source graph already vouches for.
     """
 
     __slots__ = ("n", "edges", "mu", "_out")
@@ -64,11 +65,19 @@ class Topology:
             raise ParameterError(f"live edge ({s},{d}) given twice")
         if mu is not None and not (0.0 < mu <= 1.0):
             raise ParameterError("mu must lie in (0, 1]")
-        self.n = n
-        self.edges = edges.astype(np.int32)
-        self.edges.flags.writeable = False
-        self.mu = mu
-        self._out = None
+        self._set(n, edges.astype(np.int32), mu)
+
+    @classmethod
+    def _sampled(cls, n: int, edges: np.ndarray) -> "Topology":
+        """A topology over ``edges``, a C-contiguous (E, 2) int32 array of
+        distinct (src, dst) pairs in 0..n-1, stored as given and unchecked."""
+        topology = cls.__new__(cls)
+        topology._set(n, edges, None)
+        return topology
+
+    def _set(self, n: int, edges: np.ndarray, mu: float | None) -> None:
+        edges.flags.writeable = False
+        self.n, self.edges, self.mu, self._out = n, edges, mu, None
 
     @property
     def live_edges(self) -> tuple[tuple[int, int], ...]:
@@ -97,11 +106,16 @@ class Topology:
 
 
 class TopologySet:
-    """A list of topologies sharing one source graph, plus sampling metadata."""
+    """A list of topologies sharing one source graph, plus sampling metadata.
 
-    __slots__ = ("topologies", "source_graph_hash", "seed", "mu", "_stacked")
+    ``source_graph_hash`` is the source graph's digest, or the graph itself,
+    which is then hashed only when ``source_graph_hash`` is first read.  The
+    set's own digest is computed on first call too.
+    """
 
-    def __init__(self, topologies: Sequence[Topology], source_graph_hash: str, seed: int):
+    __slots__ = ("topologies", "_source", "seed", "mu", "_stacked", "_digest")
+
+    def __init__(self, topologies: Sequence[Topology], source_graph_hash: str | Graph, seed: int):
         tops = tuple(topologies)
         if any(t.n != tops[0].n for t in tops):
             raise ParameterError("all topologies in a set must share n")
@@ -111,9 +125,15 @@ class TopologySet:
         self.topologies = tops
         # exact per-topology probabilities of an enumerated set; None when sampled
         self.mu = np.array([t.mu for t in tops], dtype=float) if given else None
-        self.source_graph_hash = source_graph_hash
+        self._source = source_graph_hash
         self.seed = int(seed)
         self._stacked = None
+        self._digest = None
+
+    @property
+    def source_graph_hash(self) -> str:
+        source = self._source
+        return source if isinstance(source, str) else source.digest()
 
     def __len__(self) -> int:
         return len(self.topologies)
@@ -165,7 +185,10 @@ class TopologySet:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.serialize().encode()).hexdigest()
+        """SHA-256 of the topology file text; computed on first call."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.serialize().encode()).hexdigest()
+        return self._digest
 
     def __eq__(self, other):
         if not isinstance(other, TopologySet):
@@ -208,6 +231,8 @@ def _check_sampling_pre(graph: Graph, model: str, s: int, seed: int) -> None:
         raise ParameterError("sample count must be at least 1")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
+    if graph.n > _INT32_MAX:
+        raise ParameterError(f"node count {graph.n} outside 0..{_INT32_MAX}")
     report = validate(graph)
     if not report.ok:
         raise ParameterError(f"graph fails validation: {report.violations[0]}")
@@ -223,7 +248,7 @@ def _topology_rng(seed: int, index: int) -> np.random.Generator:
 def _lt_choices(graph: Graph) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """The incoming edges of every node, grouped by head and ascending by source.
 
-    Returns the edges as (src, dst) rows in that order, the index of each
+    Returns the edges as int32 (src, dst) rows in that order, the index of each
     edge's head among the nodes with incoming edges, the number of such
     nodes, and each edge's running weight sum within its head before and
     after its own weight.  A running sum adds the weights one after another,
@@ -246,7 +271,8 @@ def _lt_choices(graph: Graph) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, 
     before = np.zeros(len(weights))
     before[1:] = after[:-1]
     before[first] = 0.0
-    return np.column_stack((graph.src[order], dst)), head, len(first), before, after
+    pairs = np.column_stack((graph.src[order], dst)).astype(np.int32)
+    return pairs, head, len(first), before, after
 
 
 def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
@@ -257,6 +283,10 @@ def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
     single uniform draw walked over incoming edges in ascending source order:
     the first edge whose running weight sum exceeds the draw is live.  A
     topology draws one uniform per node with incoming edges, ascending.
+
+    Live edges are rows of the validated graph's edges, so they are in range
+    and distinct, and the topologies skip the constructor's checks; likewise
+    in ``sample_ic``.
     """
     _check_sampling_pre(graph, LT, s, seed)
     pairs, head, n_heads, before, after = _lt_choices(graph)
@@ -265,16 +295,19 @@ def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
         u = _topology_rng(seed, t).random(n_heads)[head]
         # weights are >= 0, so running sums rise along a head's edges and at
         # most one edge of each head has its draw in [before, after)
-        topologies.append(Topology(graph.n, pairs[(before <= u) & (u < after)]))
-    return TopologySet(topologies, graph.digest(), seed)
+        topologies.append(Topology._sampled(graph.n, pairs[(before <= u) & (u < after)]))
+    return TopologySet(topologies, graph, seed)
 
 
 def sample_ic(graph: Graph, s: int, seed: int) -> TopologySet:
     """Sample s IC realizations: every edge independently live with its p."""
     _check_sampling_pre(graph, IC, s, seed)
-    pairs = np.column_stack((graph.src, graph.dst))
-    topologies = [Topology(graph.n, pairs[_topology_rng(seed, t).random(graph.m) < graph.value]) for t in range(s)]
-    return TopologySet(topologies, graph.digest(), seed)
+    pairs = np.column_stack((graph.src, graph.dst)).astype(np.int32)
+    topologies = [
+        Topology._sampled(graph.n, pairs[_topology_rng(seed, t).random(graph.m) < graph.value])
+        for t in range(s)
+    ]
+    return TopologySet(topologies, graph, seed)
 
 
 def enumerate_all(graph: Graph) -> TopologySet:
@@ -323,7 +356,7 @@ def _enumerate_ic(graph: Graph) -> TopologySet:
             opts.append((None, 1.0 - p))
         options.append(opts)
     topologies = [Topology(graph.n, live, mu=mu) for live, mu in _combinations(options)]
-    return TopologySet(topologies, graph.digest(), seed=0)
+    return TopologySet(topologies, graph, seed=0)
 
 
 def _enumerate_lt(graph: Graph) -> TopologySet:
@@ -351,7 +384,7 @@ def _enumerate_lt(graph: Graph) -> TopologySet:
             opts.append((None, 1.0 - total))
         options.append(opts)
     topologies = [Topology(graph.n, sorted(live), mu=mu) for live, mu in _combinations(options)]
-    return TopologySet(topologies, graph.digest(), seed=0)
+    return TopologySet(topologies, graph, seed=0)
 
 
 def write_topology_set(ts: TopologySet, path) -> None:

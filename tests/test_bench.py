@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from netvax import IC, LT
+from netvax import IC, LT, TopologySet
 from netvax.bench import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -200,6 +200,21 @@ def test_sample_sweep_runs_one_greedy_pass_per_instance(calls):
     assert calls["greedy"] == []
     passes = [(len(instance.topologies), ks) for instance, ks, _ in calls["greedy_trajectory"]]
     assert passes == [(s, [2]) for _ in range(2) for s in (3, 5, 4)]
+
+
+def test_budget_sweep_hashes_each_topology_set_once(monkeypatch):
+    hashed = []
+    serialize = TopologySet.serialize
+
+    def counting(self):
+        hashed.append(self)
+        return serialize(self)
+
+    monkeypatch.setattr(TopologySet, "serialize", counting)
+    rows = sweep_budget(tiny_config(repetitions=2), [0.1, 0.2, 0.3])
+    assert len(rows) == 3 * 2
+    assert len(hashed) == 2
+    assert len({r.toposet_digest for r in rows}) == 2
 
 
 def test_greedy_rows_report_the_shared_pass_time():

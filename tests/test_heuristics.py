@@ -18,7 +18,7 @@ from netvax import (
     sample_ic,
 )
 from netvax.bench import ExperimentConfig, build_instance
-from netvax.errors import ContractViolationError
+from netvax.errors import ContractViolationError, ParameterError
 from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator
 from netvax.heuristics import greedy_trajectory
 
@@ -30,6 +30,20 @@ def hub_instance(k=1):
 
 
 # --- greedy -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda inst: greedy(inst, evaluation="x"),
+        lambda inst: local_search(inst, {2}, evaluation="x"),
+        lambda inst: hill_climb(inst, {2}, evaluation="x"),
+    ],
+    ids=["greedy", "local_search", "hill_climb"],
+)
+def test_unknown_evaluation_mode_is_a_parameter_error(run):
+    with pytest.raises(ParameterError, match="unknown evaluation mode 'x'"):
+        run(hub_instance())
 
 
 def test_greedy_zero_budget():

@@ -3,7 +3,8 @@
 ``sample_lt`` and ``validate`` work on whole edge arrays; the references
 below are the plain loops they replace, kept here so the two can be compared
 on random small graphs: the same live edges draw for draw, and the same
-violations in the same order.
+violations in the same order.  Sampled topologies skip the checks of the
+public ``Topology`` constructor, so they are compared with checked ones too.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netvax import IC, LT, Graph, Violation, sample_lt, validate
+from netvax import IC, LT, Graph, ProblemInstance, Topology, Violation, sample_ic, sample_lt, validate
 from netvax.graph import LT_INCOMING_CAP
 from netvax.topology import _lt_choices
 
@@ -61,12 +62,17 @@ def reference_validate(graph):
     return tuple(violations)
 
 
+def distinct_pairs(draw):
+    """A node count and distinct (src, dst) pairs without self-loops."""
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+
+
 @st.composite
 def lt_graphs(draw):
     """Valid LT graphs: no self-loops or repeats, zero weights, sums rescaled to 0.99."""
-    n = draw(st.integers(0, 7))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    n, chosen = distinct_pairs(draw)
     weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
     weights = [draw(weight) for _ in chosen]
     total = [0.0] * n
@@ -74,6 +80,25 @@ def lt_graphs(draw):
         total[j] += w
     scale = [0.99 / t if t > LT_INCOMING_CAP else 1.0 for t in total]
     return Graph(n, [(i, j, w * scale[j]) for (i, j), w in zip(chosen, weights)], LT)
+
+
+@st.composite
+def ic_graphs(draw):
+    """Valid IC graphs: no self-loops or repeats, probabilities 0, 1 and between."""
+    n, chosen = distinct_pairs(draw)
+    p = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    return Graph(n, [(i, j, draw(p)) for i, j in chosen], IC)
+
+
+@given(st.one_of(lt_graphs(), ic_graphs()), st.integers(1, 6), st.integers(0, 2**32))
+def test_sampled_topologies_equal_checked_ones(graph, s, seed):
+    topologies = (sample_lt if graph.model == LT else sample_ic)(graph, s, seed)
+    for t in topologies:
+        checked = Topology(graph.n, t.edges)
+        assert t == checked and hash(t) == hash(checked)
+        flags = t.edges.flags
+        assert t.edges.dtype == np.int32 and flags.c_contiguous and not flags.writeable
+    ProblemInstance(graph, frozenset(), 0, topologies)
 
 
 @given(lt_graphs(), st.integers(1, 6), st.integers(0, 2**32))

@@ -17,6 +17,7 @@ from netvax import (
     sample_lt,
     write_topology_set,
 )
+from netvax.bench import ExperimentConfig, build_instance
 from netvax.errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 
 
@@ -76,6 +77,12 @@ def test_sampling_needs_one_topology():
         for s in (0, -1):
             with pytest.raises(ParameterError, match="at least 1"):
                 sampler(g, s, 1)
+
+
+def test_sampling_rejects_node_ids_beyond_int32():
+    # IC only: validating an LT graph this large allocates one float per node
+    with pytest.raises(ParameterError, match="node count"):
+        sample_ic(Graph(2**31, [], IC), 1, 0)
 
 
 # --- IC sampling ----------------------------------------------------------
@@ -197,6 +204,58 @@ def test_sampled_frequencies_match_enumeration():
     exp = [expected[k] * len(ts) for k in keys]
     _, pvalue = stats.chisquare(observed, exp)
     assert pvalue > 0.001
+
+
+# --- digests --------------------------------------------------------------
+
+
+@pytest.fixture
+def serialized(monkeypatch):
+    """Every graph and topology set whose text form is built, in call order."""
+    calls = []
+    for cls in (Graph, TopologySet):
+
+        def counting(self, serialize=cls.serialize):
+            calls.append(self)
+            return serialize(self)
+
+        monkeypatch.setattr(cls, "serialize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", [LT, IC])
+def test_instance_set_up_hashes_nothing(serialized, model):
+    inst = build_instance(ExperimentConfig(model=model, n=40, samples=10), 0)
+    assert serialized == []
+    assert inst.topologies.source_graph_hash == inst.graph.digest()
+    assert inst.topologies.digest() == inst.topologies.digest()
+    assert serialized == [inst.graph, inst.topologies]  # each digest is computed once
+
+
+def test_sampled_and_enumerated_sets_carry_their_graph_digest():
+    ic = Graph(3, [(0, 1, 0.5), (1, 2, 0.25)], IC)
+    for graph, ts in [
+        (ic, sample_ic(ic, 5, 11)),
+        (ic, enumerate_all(ic)),
+        (lt_pair_graph(), sample_lt(lt_pair_graph(), 5, 11)),
+        (lt_pair_graph(), enumerate_all(lt_pair_graph())),
+    ]:
+        assert ts.source_graph_hash == graph.digest()
+
+
+@pytest.mark.parametrize("model, sampler", [(LT, sample_lt), (IC, sample_ic)])
+def test_sets_sampled_from_equal_graphs_are_equal(tmp_path, model, sampler):
+    graph = generate_er(12, 0.3, model, 4)
+    twin = Graph(graph.n, graph.edges, model)
+    ts, again = sampler(graph, 6, 9), sampler(twin, 6, 9)
+    assert ts == again and hash(ts) == hash(again)
+    assert ts != sampler(twin, 6, 10)
+    path = tmp_path / "topos.txt"
+    write_topology_set(ts, path)
+    back = read_topology_set(path, source_graph_hash=graph.digest())
+    assert back == ts and hash(back) == hash(ts)
+    assert back.digest() == ts.digest()
+    assert read_topology_set(path) != ts  # the source graph is part of a set's identity
 
 
 # --- file format ----------------------------------------------------------
