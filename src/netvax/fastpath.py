@@ -11,20 +11,23 @@ too.  Two strategies supply the counts:
 * ``bfs`` runs one reachability pass per (topology, candidate), exactly as
   the greedy/local-search pseudocode is usually stated.  It is the reference
   for timing comparisons.
-* ``structural`` runs one dominator kernel for both models.  Vaccinating v
-  saves exactly the infected nodes that v dominates on the reachability
-  flowgraph, where a virtual super-source feeds the seeds.  The kernel solves
-  that dataflow for all topologies in one batched numpy pass per call, over a
-  bitset table of ``s * (n + 1) * (n // 64 + 1) * 8`` bytes, and keeps no
-  cache between calls.  An LT realization gives each node at most one live
-  parent, so its dominator tree is the live-edge forest itself, a node's gain
-  is its infected-subtree size, and the kernel finishes in one sweep.
+* ``structural`` counts, for each candidate v, the infected nodes that v
+  dominates on the reachability flowgraph, where a virtual super-source
+  feeds the seeds: vaccinating v saves exactly those.  Each call answers
+  every topology at once in one batched numpy pass and keeps no cache
+  between calls.  On IC the counts come from a dominator kernel over a
+  bitset table of ``s * (n + 1) * (n // 64 + 1) * 8`` bytes.  An LT
+  realization gives each node at most one live parent, so its flowgraph is
+  a forest and its own dominator tree: a node's gain is its
+  infected-subtree size, which prefix sums over one fixed DFS preorder give
+  directly.
 
 A swap neighbourhood needs, for each removed node v, the totals of
 ``(S - {v}) | {w}`` over the replacements w: ``totals_with(S - {v}, ws)``,
 which is ``saved(S - {v}) + gain(S - {v})[w]`` in every topology.  ``bfs``
 traverses each of those sets literally; ``structural`` answers all of them
-from one kernel pass.  Set totals use BFS in both.
+from one kernel pass.  Set totals use BFS, except on LT ``structural``,
+whose kernel yields them in the same pass.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import depth_first_order
 
 from .errors import ModelMismatchError, ParameterError
 from .graph import IC, LT
@@ -132,6 +137,31 @@ def _bit(nodes):
     return np.uint64(1) << (np.asarray(nodes) & 63).astype(np.uint64)
 
 
+def _flowgraph(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The reachability flowgraph of every topology, stacked, with its levels.
+
+    Node u of topology t is row t*n + u, and row s*n is a virtual
+    super-source with an edge to every seed row.  Live edges into seeds are
+    dropped: the super-source's edge alone makes a seed dominated by nothing,
+    so no other edge into it changes a count.  Returns the (tail, head)
+    edges whose tail some seed reaches with nothing vaccinated, and the BFS
+    level of every row from the super-source, -1 where unreached.
+    """
+    n, s = instance.n, len(instance.topologies)
+    root = s * n
+    seeds = np.array(sorted(instance.infected), dtype=np.int32)
+    seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()
+    live = instance.topologies.stacked_edges()
+    level = stacked_levels(live, s, n, seeds)
+    into_seed = np.zeros(root, dtype=bool)
+    into_seed[seed_rows] = True
+    edges = np.concatenate(
+        [live[~into_seed[live[:, 1]]],
+         np.column_stack([np.full(len(seed_rows), root, dtype=np.int32), seed_rows])]
+    )
+    return edges[level[edges[:, 0]] >= 0], level
+
+
 class IcDominatorEvaluator(BfsEvaluator):
     """Gains via dominator subtree counts on the reachability flowgraph.
 
@@ -140,8 +170,8 @@ class IcDominatorEvaluator(BfsEvaluator):
     super-source feeding all seeds.  Each ``_counts`` call solves the
     dominator dataflow ``Dom(u) = {u} | AND of Dom(p) over predecessors p``
     (Cooper, Harvey & Kennedy) for every topology at once, with no cache
-    between calls.  The kernel serves IC and LT alike; see
-    ``LtChainEvaluator``.
+    between calls.  It is exact on LT too, but LT has a cheaper kernel of
+    its own; see ``LtChainEvaluator``.
 
     ``Dom(u)`` is a packed bitset of ``n // 64 + 1`` uint64 words, one row
     per (topology, node) that some seed reaches when nothing is vaccinated,
@@ -160,24 +190,12 @@ class IcDominatorEvaluator(BfsEvaluator):
     def __init__(self, instance: ProblemInstance):
         super().__init__(instance)
         n, s = self.n, len(self.outs)
-        root = s * n  # virtual super-source; node u of topology t is row t*n + u
-        seeds = np.array(self.infected, dtype=np.int32)
-        seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()
-        live = instance.topologies.stacked_edges()
-        # BFS levels with nothing vaccinated; a row no seed reaches then stays
-        # unreached under every S, so it gets no row in the table
-        level = stacked_levels(live, s, n, seeds)
+        root = s * n
+        # a row no seed reaches with nothing vaccinated stays unreached under
+        # every S, so it gets no row in the table
+        edges, level = _flowgraph(instance)
         reached = level >= 0
-        # the super-source's empty row makes every seed's Dom row {seed}, so
-        # no other edge into a seed can change a row
-        into_seed = np.zeros(root, dtype=bool)
-        into_seed[seed_rows] = True
-        edges = np.concatenate(
-            [live[~into_seed[live[:, 1]]],
-             np.column_stack([np.full(len(seed_rows), root, dtype=np.int32), seed_rows])]
-        )
-        edges = edges[reached[edges[:, 0]]]
-        # always so on LT, where each remaining edge runs from parent to child
+        # every edge runs to a higher level, as on any forest: one sweep is final
         self._one_sweep = bool(np.all(level[edges[:, 0]] < level[edges[:, 1]]))
         indeg = np.bincount(edges[:, 1], minlength=root + 1)
         heads = np.flatnonzero(reached[:root])
@@ -281,20 +299,74 @@ class IcDominatorEvaluator(BfsEvaluator):
         return dom[:-1]
 
 
-class LtChainEvaluator(IcDominatorEvaluator):
-    """LT evaluation on the dominator kernel.
+class LtChainEvaluator(BfsEvaluator):
+    """LT evaluation by subtree intervals of the live-edge forest.
 
-    Every node has at most one live parent per realization, so the infected
-    nodes of a topology form a forest hanging off the seeds.  That forest is
-    its own dominator tree, so the kernel's counts are infected-subtree sizes.
-    With the edges into seeds dropped, every edge runs from one BFS level to
-    the next, and the kernel stops after one sweep.  The class defines
-    ``gains`` and ``batch_total`` itself only so that the benchmark's tracer,
-    which wraps methods by class and name, finds them here.
+    Every node has at most one live parent per realization, so the rows that
+    the seeds reach form a tree under the super-source of ``_flowgraph``.
+    That tree is its own dominator tree: vaccinating u saves exactly the
+    infected rows of u's subtree.  One DFS preorder, fixed at set-up, makes
+    each subtree a contiguous interval ``[pre, end)`` of positions (the
+    Euler-tour technique), and an unreached row gets the empty interval at
+    the end.  A ``_counts`` call adds +1 at ``pre`` and -1 at ``end`` of every
+    vaccinated row; the running sum counts the vaccinated rows at or above
+    each position, the infected rows are those it leaves at 0, and every
+    gain is a difference of one prefix sum over them.  Set totals come from
+    the same pass.  The class defines ``gains`` and ``batch_total`` itself
+    only so that the benchmark's tracer, which wraps methods by class and
+    name, finds them here.
     """
 
+    name = "structural"
+
+    def __init__(self, instance: ProblemInstance):
+        super().__init__(instance)
+        n, s = self.n, len(self.outs)
+        root = s * n
+        edges, level = _flowgraph(instance)
+        tree = csr_matrix(
+            (np.ones(len(edges), dtype=bool), (edges[:, 0], edges[:, 1])), shape=(root + 1, root + 1)
+        )
+        order, parent = depth_first_order(tree, root, directed=True, return_predecessors=True)
+        rows = order[1:]  # every reached row in preorder, the super-source left out
+        depth = level[rows]
+        size = np.zeros(root, dtype=np.int64)
+        size[rows] = 1
+        for d in range(depth.max(initial=0), 1, -1):  # subtrees before their roots
+            group = rows[depth == d]
+            np.add.at(size, parent[group], size[group])
+        self._positions = len(rows)
+        pre = np.full(root, len(rows), dtype=np.int64)
+        pre[rows] = np.arange(len(rows))
+        # node-major, so that the rows of one node in every topology are adjacent
+        self._pre = np.ascontiguousarray(pre.reshape(s, n).T)
+        self._end = np.ascontiguousarray((pre + size).reshape(s, n).T)
+        self._seeds = np.array(self.infected, dtype=np.intp)
+        self._is_seed = np.zeros(n, dtype=bool)
+        self._is_seed[self._seeds] = True
+
+    def per_topology_saved(self, S) -> list[int]:
+        return self._counts(S, ())[0].tolist()
+
+    def _counts(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
+        S = np.fromiter(S, dtype=np.intp)
+        candidates = np.fromiter(candidates, dtype=np.intp)
+        pre, end, positions = self._pre, self._end, self._positions
+        cover = np.cumsum(
+            np.bincount(pre[S].ravel(), minlength=positions + 1)
+            - np.bincount(end[S].ravel(), minlength=positions + 1)
+        )
+        below = np.zeros(positions + 1, dtype=np.int64)  # infected positions before each one
+        np.cumsum(cover[:-1] == 0, out=below[1:])
+        # the seeds' subtrees are disjoint and hold every infected row
+        infected = (below[end[self._seeds]] - below[pre[self._seeds]]).sum(axis=0)
+        gain_counts = below[end[candidates]] - below[pre[candidates]]
+        gain_counts[self._is_seed[candidates]] = 0
+        return self.n - infected, gain_counts.T
+
     def gains(self, S) -> np.ndarray:
-        # not ``super().gains``: the tracer wraps that one too
+        # defined on this class, not only inherited, so that the benchmark's
+        # tracer can wrap it by name
         return BfsEvaluator.gains(self, S)
 
     def batch_total(self, candidate_sets) -> list[float]:

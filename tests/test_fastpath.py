@@ -13,6 +13,7 @@ from conftest import random_instance, random_topology, single_topology_instance
 from netvax import (
     IC,
     LT,
+    ExperimentConfig,
     Graph,
     ProblemInstance,
     Topology,
@@ -25,6 +26,7 @@ from netvax import (
     local_search,
     saved_on,
 )
+from netvax.bench import build_instance
 from netvax.errors import ModelMismatchError
 from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator, make_evaluator
 
@@ -104,6 +106,87 @@ def test_lt_long_chain_and_cycle():
     for S in [frozenset(), frozenset({20}), frozenset({1, 30})]:
         assert ref.per_topology_saved(S) == fast.per_topology_saved(S)
         assert np.array_equal(ref.gains(S), fast.gains(S))
+
+
+def lt_chain_and_seed_cycle_instance(rng, n, n_seeds, s):
+    """LT topologies with a chain of 30 nodes off a seed and a cycle through every seed.
+
+    Each node keeps at most one live parent: a random one first, then the
+    chain's and the cycle's, which replace it.  Also returns the chain of
+    the first topology.
+    """
+    seeds = [int(v) for v in rng.choice(n, size=n_seeds, replace=False)]
+    others = [v for v in range(n) if v not in seeds]
+    topologies, chains = [], []
+    for _ in range(s):
+        parent = {v: int(rng.choice([u for u in range(n) if u != v])) for v in range(n) if rng.random() < 0.3}
+        chains.append([int(v) for v in rng.permutation(others)[:30]])
+        parent.update(zip(chains[-1], [seeds[0]] + chains[-1][:-1]))
+        ring = [v for seed in seeds for v in (seed, int(rng.choice(others)))]
+        ring = list(dict.fromkeys(ring))  # a node drawn twice closes the ring early
+        parent.update(zip(ring[1:] + ring[:1], ring))
+        topologies.append(Topology(n, sorted((u, v) for v, u in parent.items())))
+    pairs = sorted(set().union(*(t.live_edges for t in topologies)))
+    graph = Graph(n, [(a, b, 1.0 / s) for a, b in pairs], LT)
+    inst = ProblemInstance(graph, frozenset(seeds), 3, TopologySet(topologies, "", 0))
+    return inst, chains[0]
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(1, 3), s=st.integers(1, 3))
+def test_lt_kernel_on_long_chains_and_seed_cycles(seed, n_seeds, s):
+    # vaccinated nodes along one chain cover the rows below them many times
+    rng = np.random.default_rng(seed)
+    inst, chain = lt_chain_and_seed_cycle_instance(rng, 48, n_seeds, s)
+    ref = BfsEvaluator(inst)
+    fast = LtChainEvaluator(inst)
+    others = [v for v in inst.candidates() if v not in chain]
+    nested = {int(v) for v in rng.choice(chain, size=int(rng.integers(1, 5)), replace=False)}
+    for S in [frozenset(), frozenset(nested), frozenset(nested | {int(rng.choice(others))})]:
+        assert fast.per_topology_saved(S) == ref.per_topology_saved(S)
+        assert np.array_equal(fast.gains(S), ref.gains(S))
+        for v in sorted(S):
+            ws = [w for w in inst.candidates() if w not in S]
+            assert list(fast.totals_with(S - {v}, ws)) == list(ref.totals_with(S - {v}, ws))
+
+
+def nested_pair(topo, seeds, rng):
+    """A live edge (a, b) that the seeds reach, neither end a seed.
+
+    Vaccinating a and b together covers b's row twice.
+    """
+    reached, stack = set(seeds), list(seeds)
+    while stack:
+        for w in topo.out[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    pairs = [(a, b) for a, b in topo.live_edges if a in reached and a not in seeds and b not in seeds]
+    return pairs[int(rng.integers(len(pairs)))]
+
+
+def test_lt_kernel_matches_dominator_kernel_at_benchmark_size():
+    # the IC dominator kernel is exact on LT too, so it is the oracle here
+    inst = build_instance(
+        ExperimentConfig(model="LT", generator="waxman", n=256, centers=5, samples=50, seed=0), 0
+    )
+    assert (inst.n, len(inst.topologies)) == (256, 50)
+    oracle = IcDominatorEvaluator(inst)
+    fast = LtChainEvaluator(inst)
+    rng = np.random.default_rng(3)
+    cands = inst.candidates()
+    for i in range(20):
+        S = set()
+        if i % 2:
+            S |= set(nested_pair(inst.topologies[int(rng.integers(50))], inst.infected, rng))
+        while len(S) < inst.k:
+            S.add(int(rng.choice(cands)))
+        S = frozenset(S)
+        assert fast.per_topology_saved(S) == oracle.per_topology_saved(S)
+        assert np.array_equal(fast.gains(S), oracle.gains(S))
+        for v in sorted(S):
+            ws = [w for w in cands if w not in S]
+            assert list(fast.totals_with(S - {v}, ws)) == list(oracle.totals_with(S - {v}, ws))
 
 
 def test_lt_cycle_through_seed():
@@ -281,19 +364,19 @@ def dominator_cases(draw):
 def test_dominator_kernel_matches_networkx(case):
     inst, S = case
     fast = make_evaluator(inst, "structural")
-    if inst.graph.model == LT:
-        assert fast._one_sweep
-    saved, gain_counts = fast._dominator_pass(S)
+    saved, gain_counts = fast._counts(S, range(inst.n))
     for t, topo in enumerate(inst.topologies):
         expected_saved, expected_counts = dominator_oracle(topo, inst.infected, S)
         assert saved[t] == expected_saved
         assert np.array_equal(gain_counts[t], expected_counts)
 
 
-def test_one_sweep_on_lt_and_not_on_ic_back_edge():
+def test_no_dom_table_on_lt_and_no_one_sweep_on_ic_back_edge():
     for seed in range(6):
         inst = random_instance(seed, model=LT, n=30, p=0.2, s=5, n_infected=2, k=3)
-        assert LtChainEvaluator(inst)._one_sweep
+        fast = LtChainEvaluator(inst)
+        assert not isinstance(fast, IcDominatorEvaluator)
+        assert not hasattr(fast, "_levels")
     # 0 -> 1 -> 2 -> 1: the edge 2 -> 1 runs back to a lower BFS level
     inst = single_topology_instance(4, [(0, 1), (1, 2), (2, 1), (2, 3)], {0}, 1)
     fast = IcDominatorEvaluator(inst)
