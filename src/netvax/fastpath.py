@@ -22,12 +22,14 @@ too.  Two strategies supply the counts:
   infected-subtree size, which prefix sums over one fixed DFS preorder give
   directly.
 
-A swap neighbourhood needs, for each removed node v, the totals of
-``(S - {v}) | {w}`` over the replacements w: ``totals_with(S - {v}, ws)``,
-which is ``saved(S - {v}) + gain(S - {v})[w]`` in every topology.  ``bfs``
-traverses each of those sets literally; ``structural`` answers all of them
-from one kernel pass.  Set totals use BFS, except on LT ``structural``,
-whose kernel yields them in the same pass.
+A swap pass needs the totals of every ``(S - {v}) | {w}``: ``swap_totals``
+returns them as one (|S|, n) array.  By default it makes one
+``totals_with(S - {v}, ws)`` call per removed node v, which is
+``saved(S - {v}) + gain(S - {v})[w]`` in every topology: ``bfs`` traverses
+each swapped set literally, and IC ``structural`` runs one dominator pass
+per removed node.  LT ``structural`` answers the whole pass from one cover
+pass over its forest.  Set totals use BFS, except on LT ``structural``,
+whose kernel yields them too.
 """
 
 from __future__ import annotations
@@ -131,10 +133,32 @@ class BfsEvaluator:
         )
         return out
 
+    def swap_totals(self, S, replacements) -> np.ndarray:
+        """Total saved of every swap ``(S - {v}) | {w}`` of S.
+
+        Row i belongs to the i-th node v of ``sorted(S)``, column w to the
+        replacement; -inf where w is not in ``replacements(v)``, is in S or
+        is infected.  One ``totals_with(S - {v}, ...)`` call per v.
+        """
+        S = set(S)
+        out = np.full((len(S), self.n), -math.inf)
+        for i, v in enumerate(sorted(S)):
+            ws = [w for w in replacements(v) if w not in S and w not in self._infected_set]
+            if ws:
+                out[i, ws] = self.totals_with(S - {v}, ws)
+        return out
+
 
 def _bit(nodes):
     """Each node's bit within its uint64 word of a packed node set."""
     return np.uint64(1) << (np.asarray(nodes) & 63).astype(np.uint64)
+
+
+def _count_before(mask) -> np.ndarray:
+    """For each position p, and one past the last, the true entries of mask before p."""
+    out = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=out[1:])
+    return out
 
 
 def _flowgraph(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -312,9 +336,10 @@ class LtChainEvaluator(BfsEvaluator):
     vaccinated row; the running sum counts the vaccinated rows at or above
     each position, the infected rows are those it leaves at 0, and every
     gain is a difference of one prefix sum over them.  Set totals come from
-    the same pass.  The class defines ``gains`` and ``batch_total`` itself
-    only so that the benchmark's tracer, which wraps methods by class and
-    name, finds them here.
+    the same pass, and ``swap_totals`` reads every swap of a set off one
+    cover pass, nested subtrees included.  The class defines ``gains`` and
+    ``batch_total`` itself only so that the benchmark's tracer, which wraps
+    methods by class and name, finds them here.
     """
 
     name = "structural"
@@ -338,9 +363,14 @@ class LtChainEvaluator(BfsEvaluator):
         self._positions = len(rows)
         pre = np.full(root, len(rows), dtype=np.int64)
         pre[rows] = np.arange(len(rows))
+        end = pre + size
         # node-major, so that the rows of one node in every topology are adjacent
         self._pre = np.ascontiguousarray(pre.reshape(s, n).T)
-        self._end = np.ascontiguousarray((pre + size).reshape(s, n).T)
+        self._end = np.ascontiguousarray(end.reshape(s, n).T)
+        # the DFS's own arrays, for the nested pairs of ``swap_totals``
+        self._node_at = rows % n  # node of each position
+        self._end_at = end[rows]  # subtree end of each position
+        self._parent = parent  # parent row of each row; the super-source's row for a seed
         self._seeds = np.array(self.infected, dtype=np.intp)
         self._is_seed = np.zeros(n, dtype=bool)
         self._is_seed[self._seeds] = True
@@ -348,21 +378,76 @@ class LtChainEvaluator(BfsEvaluator):
     def per_topology_saved(self, S) -> list[int]:
         return self._counts(S, ())[0].tolist()
 
+    def _cover(self, pre, end) -> np.ndarray:
+        """Per position, how many vaccinated rows, with intervals ``[pre, end)``, hold it."""
+        positions = self._positions
+        return np.cumsum(
+            np.bincount(pre.ravel(), minlength=positions + 1)
+            - np.bincount(end.ravel(), minlength=positions + 1)
+        )[:-1]
+
     def _counts(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
         S = np.fromiter(S, dtype=np.intp)
         candidates = np.fromiter(candidates, dtype=np.intp)
-        pre, end, positions = self._pre, self._end, self._positions
-        cover = np.cumsum(
-            np.bincount(pre[S].ravel(), minlength=positions + 1)
-            - np.bincount(end[S].ravel(), minlength=positions + 1)
-        )
-        below = np.zeros(positions + 1, dtype=np.int64)  # infected positions before each one
-        np.cumsum(cover[:-1] == 0, out=below[1:])
+        pre, end = self._pre, self._end
+        below = _count_before(self._cover(pre[S], end[S]) == 0)  # infected positions
         # the seeds' subtrees are disjoint and hold every infected row
         infected = (below[end[self._seeds]] - below[pre[self._seeds]]).sum(axis=0)
         gain_counts = below[end[candidates]] - below[pre[candidates]]
         gain_counts[self._is_seed[candidates]] = 0
         return self.n - infected, gain_counts.T
+
+    def swap_totals(self, S, replacements) -> np.ndarray:
+        """Every swap of S from one cover pass.
+
+        Let Z and O count the positions of cover 0 and cover 1 in an
+        interval.  Removing v uncovers O(I_v), so S - {v} saves
+        ``A(v) = n*s - infected(S) - sum_t O(I_v)``; adding w then saves
+        ``B(w) = sum_t Z(I_w)`` plus, where the two subtrees are nested, the
+        rows only v covered: ``O(I_w)`` where w lies under v, ``O(I_v)``
+        where v lies under w.  Without mu every total is an exact integer
+        sum, so it equals ``totals_with``'s float bit for bit; a mu-weighted
+        sum depends on its order, so those instances take the base loop.
+        """
+        if self.mu is not None:
+            return BfsEvaluator.swap_totals(self, S, replacements)
+        S = sorted(S)
+        n, s = self.n, len(self.outs)
+        allowed = np.zeros((len(S), n), dtype=bool)
+        for i, v in enumerate(S):
+            allowed[i, np.fromiter(replacements(v), dtype=np.intp)] = True
+        allowed[:, S] = False
+        allowed[:, self._seeds] = False
+        v = np.array(S, dtype=np.intp)
+        pre, end = self._pre[v], self._end[v]  # (|S|, s)
+        cover = self._cover(pre, end)
+        zeros, ones = _count_before(cover == 0), _count_before(cover == 1)
+        only_v = ones[end] - ones[pre]
+        totals = (n * s - zeros[-1] - only_v.sum(axis=1))[:, None] + (
+            zeros[self._end] - zeros[self._pre]
+        ).sum(axis=1)
+        # w under v: the positions of v's subtree after v itself
+        start = (pre + 1).ravel()
+        length = np.maximum(end.ravel() - start, 0)
+        at = np.arange(length.sum()) + np.repeat(start - (np.cumsum(length) - length), length)
+        keys = [np.repeat(np.arange(len(S)).repeat(s), length) * n + self._node_at[at]]
+        weights = [ones[self._end_at[at]] - ones[at]]
+        # v under w: walk up from every row of v that uncovers something
+        row_of, topo = np.nonzero(only_v)
+        row = topo * n + v[row_of]
+        weight = only_v[row_of, topo]
+        root = s * n
+        while len(row):
+            row = self._parent[row]
+            up = row != root
+            row, row_of, weight = row[up], row_of[up], weight[up]
+            keys.append(row_of * n + row % n)
+            weights.append(weight)
+        nested = np.bincount(
+            np.concatenate(keys), weights=np.concatenate(weights), minlength=len(S) * n
+        )
+        totals += nested.astype(np.int64).reshape(len(S), n)
+        return np.where(allowed, totals, -math.inf)
 
     def gains(self, S) -> np.ndarray:
         # defined on this class, not only inherited, so that the benchmark's

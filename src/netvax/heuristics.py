@@ -6,11 +6,11 @@ neighbors and commits the best accumulated swap once per pass; hill climbing
 considers every (selected, outside) exchange and applies the single best
 strictly improving one per iteration.
 
-Both swap searches share one scan.  Per pass they ask the evaluator once per
-selected node v for the totals of every swap that removes v.  With the
-``structural`` evaluators, on LT and IC alike, that is one gains computation
-on S - {v}, so a pass costs |S| gains calls; with ``bfs`` every swapped set
-is still evaluated literally.
+Both swap searches share one scan.  Per pass they ask the evaluator once
+for the totals of every swap of S.  LT ``structural`` answers the whole pass
+from one cover pass over its live-edge forest; IC ``structural`` still runs
+one dominator pass per selected node, on S - {v}; with ``bfs`` every swapped
+set is still evaluated literally.
 """
 
 from __future__ import annotations
@@ -90,29 +90,23 @@ def _swap_search(instance, S0, evaluation, algorithm, replacements) -> SolverRes
     w ascending over ``replacements(v)`` outside S and the infected set, and
     keeps the first swap whose total beats every earlier one and S itself.
     The pass commits that swap; a pass without one ends the search.  The
-    totals for one v come from a single ``totals_with(S - {v}, ...)`` call.
+    totals of a pass come from one ``swap_totals`` call, whose first maximum
+    in row-major order is that swap.
     """
     t0 = time.perf_counter()
     S = checked_nodes(S0, instance.n, instance.infected, instance.k)
     evaluator = make_evaluator(instance, evaluation)
-    infected = instance.infected
     passes = 0
     while True:
         passes += 1
-        best = None
-        best_value = evaluator.total_saved(S)
-        for v in sorted(S):
-            ws = [w for w in replacements(v) if w not in S and w not in infected]
-            if not ws:
-                continue
-            rest = S - {v}
-            for w, value in zip(ws, evaluator.totals_with(rest, ws)):
-                if value > best_value:
-                    best = rest | {w}
-                    best_value = value
-        if best is None:
+        current = evaluator.total_saved(S)
+        totals = evaluator.swap_totals(S, replacements)
+        if not totals.size:
             break
-        S = best
+        i, w = np.unravel_index(np.argmax(totals), totals.shape)
+        if not totals[i, w] > current:
+            break
+        S = (S - {sorted(S)[i]}) | {int(w)}
     return _finish(instance, S, t0, passes, algorithm)
 
 

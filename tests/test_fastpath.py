@@ -148,6 +148,20 @@ def test_lt_kernel_on_long_chains_and_seed_cycles(seed, n_seeds, s):
         for v in sorted(S):
             ws = [w for w in inst.candidates() if w not in S]
             assert list(fast.totals_with(S - {v}, ws)) == list(ref.totals_with(S - {v}, ws))
+        assert_same_swap_totals(fast, ref, S)
+
+
+def assert_same_swap_totals(fast, ref, S):
+    """``swap_totals`` of two evaluators agree entry for entry, -inf included.
+
+    Both neighbourhoods: hill climbing's (every node) and local search's
+    (graph neighbours).
+    """
+    inst = fast.instance
+    for replacements in (lambda v: range(inst.n), inst.graph.neighbors):
+        got = fast.swap_totals(S, replacements)
+        assert got.shape == (len(S), inst.n)
+        assert np.array_equal(got, ref.swap_totals(S, replacements))
 
 
 def nested_pair(topo, seeds, rng):
@@ -187,6 +201,7 @@ def test_lt_kernel_matches_dominator_kernel_at_benchmark_size():
         for v in sorted(S):
             ws = [w for w in cands if w not in S]
             assert list(fast.totals_with(S - {v}, ws)) == list(oracle.totals_with(S - {v}, ws))
+        assert_same_swap_totals(fast, oracle, S)
 
 
 def test_lt_cycle_through_seed():
@@ -226,6 +241,7 @@ def swap_ties(instance, S):
         values = list(ref.totals_with(S - {v}, ws))
         assert list(fast.totals_with(S - {v}, ws)) == values
         ties += len(values) - len(set(values))
+    assert_same_swap_totals(fast, ref, S)
     return ties
 
 
@@ -248,6 +264,28 @@ def test_structural_swap_search_matches_bfs(model):
                     assert fast.avg_saved == ref.avg_saved
                     assert fast.iterations == ref.iterations
     assert all(ties.values())
+
+
+def test_lt_swap_totals_on_enumerated_instances_fall_back_to_the_base_loop(monkeypatch):
+    # mu-weighted floats depend on the order of the sum, so LT reduces each
+    # removed node's totals as ``totals_with`` does
+    calls = []
+    totals_with = BfsEvaluator.totals_with
+
+    def logged_totals_with(self, *args):
+        calls.append(self.name)
+        return totals_with(self, *args)
+
+    monkeypatch.setattr(BfsEvaluator, "totals_with", logged_totals_with)
+    for seed in range(6):
+        inst = enumerated_instance(seed, LT, k=3)
+        ref = BfsEvaluator(inst)
+        fast = LtChainEvaluator(inst)
+        cands = inst.candidates()
+        for S in (frozenset(cands[:3]), frozenset(cands[-3:]), greedy(inst, "structural").vaccination.nodes):
+            calls.clear()
+            assert_same_swap_totals(fast, ref, S)
+            assert "structural" in calls
 
 
 def test_make_evaluator_modes():

@@ -5,6 +5,7 @@ from conftest import random_instance, single_topology_instance
 
 from netvax import (
     IC,
+    LT,
     Graph,
     ProblemInstance,
     Topology,
@@ -19,7 +20,7 @@ from netvax import (
 )
 from netvax.bench import ExperimentConfig, build_instance
 from netvax.errors import ContractViolationError, ParameterError
-from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator
+from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator
 from netvax.heuristics import greedy_trajectory
 
 
@@ -264,3 +265,50 @@ def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
         search(inst, start, evaluation="structural")
     assert calls["batch_total"] == 0
     assert calls["dominator"] > 0
+
+
+# --- swap passes: the matrix scan and its kernel calls ------------------------
+
+
+@pytest.mark.parametrize("search", [local_search, hill_climb], ids=["ls", "hc"])
+@pytest.mark.parametrize(
+    "model, evaluation", [(LT, "structural"), (IC, "structural"), (LT, "bfs"), (IC, "bfs")]
+)
+def test_swap_search_without_a_swap_returns_its_start(search, model, evaluation):
+    # k = 0 gives a pass with no row at all; a start holding every candidate
+    # gives rows with no replacement
+    for seed in range(3):
+        empty = random_instance(seed, model=model, n=8, p=0.3, s=3, n_infected=2, k=0)
+        full = random_instance(seed, model=model, n=8, p=0.3, s=3, n_infected=2, k=6)
+        for inst, start in ((empty, frozenset()), (full, frozenset(full.candidates()))):
+            res = search(inst, start, evaluation=evaluation)
+            assert res.vaccination.nodes == start
+            assert res.iterations == 1
+            assert res.avg_saved == avg_saved(inst, start).avg_saved
+
+
+def test_lt_structural_swap_pass_is_one_kernel_pass(monkeypatch):
+    calls = {"swap_totals": 0, "totals_with": 0}
+    swap_totals = LtChainEvaluator.swap_totals
+    totals_with = BfsEvaluator.totals_with
+
+    def counted_swap_totals(self, *args):
+        calls["swap_totals"] += 1
+        return swap_totals(self, *args)
+
+    def counted_totals_with(self, *args):
+        calls["totals_with"] += 1
+        return totals_with(self, *args)
+
+    monkeypatch.setattr(LtChainEvaluator, "swap_totals", counted_swap_totals)
+    monkeypatch.setattr(BfsEvaluator, "totals_with", counted_totals_with)
+    for seed in range(3):
+        inst = build_instance(
+            ExperimentConfig(model=LT, generator="waxman", n=40, centers=3, samples=20, seed=seed), 0
+        )
+        start = inst.candidates()[: inst.k]
+        for search in (local_search, hill_climb):
+            calls.update(swap_totals=0, totals_with=0)
+            res = search(inst, start, evaluation="structural")
+            assert res.iterations > 1
+            assert calls == {"swap_totals": res.iterations, "totals_with": 0}
