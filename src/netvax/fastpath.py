@@ -30,6 +30,15 @@ each swapped set literally, and IC ``structural`` runs one dominator pass
 per removed node.  LT ``structural`` answers the whole pass from one cover
 pass over its forest.  Set totals use BFS, except on LT ``structural``,
 whose kernel yields them too.
+
+``make_evaluator`` keeps the evaluator it built last in one module-level
+slot and returns it again while a request has the same topology set and
+graph objects (compared by identity, so nothing is hashed), an equal
+infected set and the same mode; no evaluator reads ``k``.  Any other
+request empties the slot and then builds, so the slot never keeps an old
+evaluator alive while a new one is built.  A shared evaluator must not be used from two threads at once:
+each keeps one BFS visitation buffer, which ``bfs`` and the set totals of
+IC ``structural`` write.
 """
 
 from __future__ import annotations
@@ -458,8 +467,42 @@ class LtChainEvaluator(BfsEvaluator):
         return [self.total_saved(S) for S in candidate_sets]
 
 
+# The evaluator that ``make_evaluator`` built last, served again while the
+# requests match it; None before the first build and while a build runs.
+_last: BfsEvaluator | None = None
+
+
 def make_evaluator(instance: ProblemInstance, evaluation: str = "bfs") -> BfsEvaluator:
-    """Factory: 'bfs' for literal re-evaluation, 'structural' for the fast exact path."""
+    """Factory: 'bfs' for literal re-evaluation, 'structural' for the fast exact path.
+
+    Returns the evaluator it built last while the request has the same
+    topology set and graph objects (compared by identity, so an equal copy
+    misses and nothing is hashed), an equal infected set and the same mode;
+    no evaluator reads ``k``.  So greedy, local search and hill climbing on
+    one instance, and on its copies with another ``k``, share one evaluator.
+    Any other request empties the slot before it builds, so the slot never
+    holds the old evaluator while the new one is built.  A shared evaluator
+    must not be used from two threads at once (its BFS visitation buffer).
+    """
+    global _last
+    # one read of the slot, which another thread may refill at any time; no
+    # lock, because a lost update only costs a rebuild
+    last = _last
+    if (
+        last is not None
+        and last.instance.topologies is instance.topologies
+        and last.instance.graph is instance.graph
+        and last.instance.infected == instance.infected
+        and last.name == evaluation
+    ):
+        return last
+    last = _last = None
+    evaluator = _build(instance, evaluation)
+    _last = evaluator
+    return evaluator
+
+
+def _build(instance: ProblemInstance, evaluation: str) -> BfsEvaluator:
     if evaluation == "bfs":
         return BfsEvaluator(instance)
     if evaluation == "structural":

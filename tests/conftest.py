@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -15,11 +17,28 @@ from netvax import (
     sample_ic,
     sample_lt,
 )
+from netvax.bench import ExperimentConfig
 
 # Property tests draw the same examples on every run, so tier-1 stays
 # deterministic; solver calls have no per-example deadline.
 settings.register_profile("netvax", derandomize=True, deadline=None)
 settings.load_profile("netvax")
+
+
+def tiny_config(**overrides):
+    """A small structural LT experiment: Waxman n=24, s=8, one repetition."""
+    base = ExperimentConfig(
+        model=LT,
+        generator="waxman",
+        n=24,
+        centers=3,
+        samples=8,
+        algorithms=("greedy",),
+        seed=7,
+        repetitions=1,
+        evaluation="structural",
+    )
+    return replace(base, **overrides)
 
 
 def path_graph(values, model):

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import tiny_config
+
 from netvax import IC, LT, TopologySet
 from netvax.bench import (
     CSV_FIELDS,
-    ExperimentConfig,
     ResultRow,
     build_instance,
     emit_csv,
@@ -18,21 +19,6 @@ from netvax.bench import (
     validate_config,
 )
 from netvax.errors import ParameterError
-
-
-def tiny_config(**overrides):
-    base = ExperimentConfig(
-        model=LT,
-        generator="waxman",
-        n=24,
-        centers=3,
-        samples=8,
-        algorithms=("greedy",),
-        seed=7,
-        repetitions=1,
-        evaluation="structural",
-    )
-    return replace(base, **overrides)
 
 
 def test_single_algorithm_single_rep_one_row():
@@ -87,6 +73,20 @@ def test_reproducible_saved_columns():
 
 def test_threads_do_not_change_results():
     cfg = tiny_config(repetitions=3, algorithms=("greedy", "ls"))
+    seq = run_experiment(cfg, threads=1)
+    par = run_experiment(cfg, threads=3)
+    assert [(r.rep, r.algorithm, r.saved_avg) for r in seq] == [
+        (r.rep, r.algorithm, r.saved_avg) for r in par
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"model": LT}, {"model": IC, "alpha": 0.2, "beta": 0.5}], ids=["LT", "IC"]
+)
+def test_threads_do_not_change_swap_results(overrides):
+    # each repetition has its own instance, so threads only evict each
+    # other's evaluator from the factory's slot and never share one
+    cfg = tiny_config(repetitions=3, algorithms=("greedy", "ls", "hc"), **overrides)
     seq = run_experiment(cfg, threads=1)
     par = run_experiment(cfg, threads=3)
     assert [(r.rep, r.algorithm, r.saved_avg) for r in seq] == [

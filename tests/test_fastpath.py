@@ -1,6 +1,7 @@
 """The structural evaluators must match BFS re-evaluation exactly."""
 
 import itertools
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -296,6 +297,68 @@ def test_make_evaluator_modes():
     assert isinstance(make_evaluator(inst_ic, "structural"), IcDominatorEvaluator)
     with pytest.raises(ValueError):
         make_evaluator(inst, "magic")
+
+
+# --- the factory's one-slot reuse --------------------------------------------
+
+FRESH = {
+    ("bfs", LT): BfsEvaluator,
+    ("bfs", IC): BfsEvaluator,
+    ("structural", LT): LtChainEvaluator,
+    ("structural", IC): IcDominatorEvaluator,
+}
+
+
+def assert_serves_like_fresh(inst, evaluation):
+    """The factory's evaluator answers as one built for ``inst`` right now."""
+    served = make_evaluator(inst, evaluation)
+    fresh = FRESH[evaluation, inst.graph.model](inst)
+    assert type(served) is type(fresh)
+    S = inst.candidates()[: max(inst.k, 1)]
+    assert served.total_saved(S) == fresh.total_saved(S)
+    assert np.array_equal(served.gains(S), fresh.gains(S))
+    swaps = inst.graph.neighbors
+    assert np.array_equal(served.swap_totals(S, swaps), fresh.swap_totals(S, swaps))
+    return served
+
+
+@pytest.mark.parametrize("model", [LT, IC])
+def test_factory_reuses_only_for_the_same_topologies_graph_and_infected(model):
+    a = random_instance(3, model=model, n=12, s=4, n_infected=2, k=3)
+    other = sorted(set(range(a.n)) - a.infected)[:2]
+    b = ProblemInstance(a.graph, frozenset(other), a.k, a.topologies)  # another infected set
+    for evaluation in ("bfs", "structural"):
+        first = assert_serves_like_fresh(a, evaluation)
+        assert make_evaluator(replace(a, k=1), evaluation) is first  # no evaluator reads k
+        assert assert_serves_like_fresh(b, evaluation) is not first
+        assert assert_serves_like_fresh(a, evaluation) is not first  # A, B, A: A is rebuilt
+
+
+@pytest.mark.parametrize("model", [LT, IC])
+def test_factory_switches_between_modes_on_one_instance(model):
+    inst = random_instance(4, model=model, n=12, s=4, n_infected=2, k=3)
+    for evaluation in ("bfs", "structural", "bfs", "structural", "structural"):
+        assert make_evaluator(inst, evaluation).name == evaluation
+        assert_serves_like_fresh(inst, evaluation)
+
+
+def test_factory_keys_on_identity_and_hashes_nothing(monkeypatch):
+    inst = random_instance(5, model=LT, n=12, s=4, n_infected=2, k=3)
+    ts = inst.topologies
+    same = TopologySet(ts.topologies, ts.source_graph_hash, ts.seed)
+    copy = ProblemInstance(inst.graph, inst.infected, inst.k, same)
+    assert copy.topologies == ts
+
+    def refuse(*args):
+        raise AssertionError("the evaluator factory compared or hashed content")
+
+    for cls in (TopologySet, Topology, Graph):
+        for name in ("__eq__", "__hash__", "digest", "serialize"):
+            if name in cls.__dict__:
+                monkeypatch.setattr(cls, name, refuse)
+    first = make_evaluator(inst, "structural")
+    assert make_evaluator(inst, "structural") is first
+    assert make_evaluator(copy, "structural") is not first
 
 
 def test_ic_gains_with_dense_cycles():

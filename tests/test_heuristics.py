@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance, single_topology_instance
+from conftest import random_instance, single_topology_instance, tiny_config
 
 from netvax import (
     IC,
@@ -18,7 +18,7 @@ from netvax import (
     local_search,
     sample_ic,
 )
-from netvax.bench import ExperimentConfig, build_instance
+from netvax.bench import ExperimentConfig, build_instance, sweep_budget
 from netvax.errors import ContractViolationError, ParameterError
 from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator
 from netvax.heuristics import greedy_trajectory
@@ -312,3 +312,42 @@ def test_lt_structural_swap_pass_is_one_kernel_pass(monkeypatch):
             res = search(inst, start, evaluation="structural")
             assert res.iterations > 1
             assert calls == {"swap_totals": res.iterations, "totals_with": 0}
+
+
+# --- one evaluator per instance -----------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Constructor calls of the structural evaluators, by class name."""
+    counts = {"LtChainEvaluator": 0, "IcDominatorEvaluator": 0}
+    for cls in (LtChainEvaluator, IcDominatorEvaluator):
+        init = cls.__init__
+
+        def counted(self, instance, _init=init, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, instance)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("model", [LT, IC])
+def test_greedy_and_swap_searches_share_one_evaluator(builds, model):
+    inst = random_instance(2, model=model, n=16, s=4, n_infected=2, k=4)
+    start = greedy(inst, evaluation="structural").vaccination
+    local_search(inst, start, evaluation="structural")
+    hill_climb(inst, start, evaluation="structural")
+    built = "LtChainEvaluator" if model == LT else "IcDominatorEvaluator"
+    assert builds == {"LtChainEvaluator": 0, "IcDominatorEvaluator": 0, built: 1}
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"model": LT}, {"model": IC, "alpha": 0.2, "beta": 0.5}], ids=["LT", "IC"]
+)
+def test_budget_sweep_builds_one_evaluator_per_repetition(builds, overrides):
+    cfg = tiny_config(algorithms=("greedy", "ls", "hc"), repetitions=2, **overrides)
+    rows = sweep_budget(cfg, [0.1, 0.2, 0.3])
+    assert len(rows) == 3 * 2 * 3
+    built = "LtChainEvaluator" if overrides["model"] == LT else "IcDominatorEvaluator"
+    assert builds == {"LtChainEvaluator": 0, "IcDominatorEvaluator": 0, built: 2}
