@@ -22,14 +22,19 @@ too.  Two strategies supply the counts:
   infected-subtree size, which prefix sums over one fixed DFS preorder give
   directly.
 
-A swap pass needs the totals of every ``(S - {v}) | {w}``: ``swap_totals``
-returns them as one (|S|, n) array.  By default it makes one
-``totals_with(S - {v}, ws)`` call per removed node v, which is
-``saved(S - {v}) + gain(S - {v})[w]`` in every topology: ``bfs`` traverses
-each swapped set literally, and IC ``structural`` runs one dominator pass
-per removed node.  LT ``structural`` answers the whole pass from one cover
-pass over its forest.  Set totals use BFS, except on LT ``structural``,
-whose kernel yields them too.
+A swap pass needs the totals of every ``(S - {v}) | {w}``: ``swap_totals(S,
+allowed)`` returns them as one (|S|, n) array, row i for the i-th node of
+``sorted(S)``.  ``allowed`` is a boolean mask of the same shape that marks
+the replacements a search may use; the evaluator itself clears S and the
+infected set from it.  By default it makes one ``totals_with(S - {v}, ws)``
+call per removed node v, which is ``saved(S - {v}) + gain(S - {v})[w]`` in
+every topology: ``bfs`` traverses each swapped set literally, and IC
+``structural`` runs one dominator pass per removed node.  LT ``structural``
+answers the whole pass from one cover pass over its forest.  Set totals and
+per-topology counts (``total_saved``, ``per_topology_saved``) use BFS on
+``bfs`` and on IC ``structural``; LT ``structural`` reads them off its
+kernel too, so it never builds the BFS adjacency, which every evaluator
+builds only on first use.
 
 ``make_evaluator`` keeps the evaluator it built last in one module-level
 slot and returns it again while a request has the same topology set and
@@ -44,12 +49,13 @@ IC ``structural`` write.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import depth_first_order
 
-from .errors import ModelMismatchError, ParameterError
+from .errors import ContractViolationError, ModelMismatchError, ParameterError
 from .graph import IC, LT
 from .spread import ProblemInstance, weighted_total
 from .topology import stacked_levels
@@ -69,10 +75,19 @@ class BfsEvaluator:
         self.n = instance.n
         self.infected = sorted(instance.infected)
         self._infected_set = instance.infected
-        self.outs = [t.out for t in instance.topologies]
+        self.s = len(instance.topologies)
         self.mu = instance.topologies.mu
-        self._vis = [0] * self.n
         self._epoch = 0
+
+    @cached_property
+    def outs(self) -> list:
+        """Every topology's out-adjacency, built on first use: only BFS walks it."""
+        return [t.out for t in self.instance.topologies]
+
+    @cached_property
+    def _vis(self) -> list[int]:
+        """The BFS visitation buffer: per node, the epoch of its last visit."""
+        return [0] * self.n
 
     def _saved_one(self, out, blocked, extra=-1) -> int:
         self._epoch += 1
@@ -119,7 +134,7 @@ class BfsEvaluator:
         with_each = np.array(
             [[self._saved_one(out, blocked, extra=w) for w in candidates] for out in self.outs],
             dtype=np.int64,
-        ).reshape(len(self.outs), len(candidates))
+        ).reshape(self.s, len(candidates))
         return saved, with_each - saved[:, None]
 
     def totals_with(self, base, candidates) -> np.ndarray:
@@ -142,20 +157,34 @@ class BfsEvaluator:
         )
         return out
 
-    def swap_totals(self, S, replacements) -> np.ndarray:
+    def swap_totals(self, S, allowed) -> np.ndarray:
         """Total saved of every swap ``(S - {v}) | {w}`` of S.
 
         Row i belongs to the i-th node v of ``sorted(S)``, column w to the
-        replacement; -inf where w is not in ``replacements(v)``, is in S or
-        is infected.  One ``totals_with(S - {v}, ...)`` call per v.
+        replacement.  ``allowed`` is a boolean array of that (|S|, n) shape;
+        an entry is -inf where it is false, or where w is in S or infected.
+        One ``totals_with(S - {v}, ...)`` call per v.
         """
         S = set(S)
-        out = np.full((len(S), self.n), -math.inf)
-        for i, v in enumerate(sorted(S)):
-            ws = [w for w in replacements(v) if w not in S and w not in self._infected_set]
+        nodes = sorted(S)
+        allowed = self._allowed_swaps(nodes, allowed)
+        out = np.full(allowed.shape, -math.inf)
+        for i, v in enumerate(nodes):
+            ws = np.flatnonzero(allowed[i]).tolist()
             if ws:
                 out[i, ws] = self.totals_with(S - {v}, ws)
         return out
+
+    def _allowed_swaps(self, nodes, allowed) -> np.ndarray:
+        """A checked copy of ``allowed`` with the columns of S and the infected set cleared."""
+        allowed = np.array(allowed, dtype=bool)
+        if allowed.shape != (len(nodes), self.n):
+            raise ContractViolationError(
+                f"swap mask has shape {allowed.shape}, not (|S|, n) = ({len(nodes)}, {self.n})"
+            )
+        allowed[:, nodes] = False
+        allowed[:, self.infected] = False
+        return allowed
 
 
 def _bit(nodes):
@@ -222,7 +251,7 @@ class IcDominatorEvaluator(BfsEvaluator):
 
     def __init__(self, instance: ProblemInstance):
         super().__init__(instance)
-        n, s = self.n, len(self.outs)
+        n, s = self.n, self.s
         root = s * n
         # a row no seed reaches with nothing vaccinated stays unreached under
         # every S, so it gets no row in the table
@@ -274,7 +303,7 @@ class IcDominatorEvaluator(BfsEvaluator):
 
     def _dominator_pass(self, S) -> tuple[np.ndarray, np.ndarray]:
         """Per-topology saved counts and dominated-node counts for one set S."""
-        n, s = self.n, len(self.outs)
+        n, s = self.n, self.s
         blocked = np.zeros(len(self._node), dtype=bool)
         where = self._pos[:, list(S)].ravel()
         blocked[where[where >= 0]] = True
@@ -355,7 +384,7 @@ class LtChainEvaluator(BfsEvaluator):
 
     def __init__(self, instance: ProblemInstance):
         super().__init__(instance)
-        n, s = self.n, len(self.outs)
+        n, s = self.n, self.s
         root = s * n
         edges, level = _flowgraph(instance)
         tree = csr_matrix(
@@ -406,8 +435,8 @@ class LtChainEvaluator(BfsEvaluator):
         gain_counts[self._is_seed[candidates]] = 0
         return self.n - infected, gain_counts.T
 
-    def swap_totals(self, S, replacements) -> np.ndarray:
-        """Every swap of S from one cover pass.
+    def swap_totals(self, S, allowed) -> np.ndarray:
+        """Every swap of S from one cover pass, masked as in ``BfsEvaluator.swap_totals``.
 
         Let Z and O count the positions of cover 0 and cover 1 in an
         interval.  Removing v uncovers O(I_v), so S - {v} saves
@@ -419,14 +448,10 @@ class LtChainEvaluator(BfsEvaluator):
         sum depends on its order, so those instances take the base loop.
         """
         if self.mu is not None:
-            return BfsEvaluator.swap_totals(self, S, replacements)
+            return BfsEvaluator.swap_totals(self, S, allowed)
         S = sorted(S)
-        n, s = self.n, len(self.outs)
-        allowed = np.zeros((len(S), n), dtype=bool)
-        for i, v in enumerate(S):
-            allowed[i, np.fromiter(replacements(v), dtype=np.intp)] = True
-        allowed[:, S] = False
-        allowed[:, self._seeds] = False
+        n, s = self.n, self.s
+        allowed = self._allowed_swaps(S, allowed)
         v = np.array(S, dtype=np.intp)
         pre, end = self._pre[v], self._end[v]  # (|S|, s)
         cover = self._cover(pre, end)

@@ -6,11 +6,15 @@ neighbors and commits the best accumulated swap once per pass; hill climbing
 considers every (selected, outside) exchange and applies the single best
 strictly improving one per iteration.
 
-Both swap searches share one scan.  Per pass they ask the evaluator once
-for the totals of every swap of S.  LT ``structural`` answers the whole pass
-from one cover pass over its live-edge forest; IC ``structural`` still runs
-one dominator pass per selected node, on S - {v}; with ``bfs`` every swapped
-set is still evaluated literally.
+Both swap searches share one scan.  A search totals its start set once.
+Per pass it asks the evaluator once for the totals of every swap of S,
+with the allowed replacements of each selected node as one row of a
+boolean mask, and the committed swap's total is the next pass's bar.  LT
+``structural`` answers the whole pass from one cover pass over its
+live-edge forest; IC ``structural`` still runs one dominator pass per
+selected node, on S - {v}; with ``bfs`` every swapped set is still
+evaluated literally.  Every solver reads the per-topology counts of its
+final set off the same evaluator, so it runs no BFS of its own.
 
 Each solver gets its evaluator from ``make_evaluator``, which returns the one
 it built last while the topology set and graph are the same objects, the
@@ -31,7 +35,8 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .fastpath import make_evaluator
-from .spread import ProblemInstance, VaccinationSet, avg_saved, checked_nodes
+from .spread import ProblemInstance, SpreadResult, VaccinationSet, checked_nodes
+from .spread import avg_saved  # noqa: F401  unused here; the benchmark's tracer wraps it by this name
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,9 @@ class SolverResult:
     algorithm: str
 
 
-def _finish(instance, S, t0, iterations, algorithm) -> SolverResult:
-    result = avg_saved(instance, S)
+def _finish(instance, evaluator, S, t0, iterations, algorithm) -> SolverResult:
+    counts = evaluator.per_topology_saved(S)
+    result = SpreadResult.from_counts(instance.n, counts, instance.topologies.mu)
     return SolverResult(
         vaccination=VaccinationSet(frozenset(S)),
         avg_saved=result.avg_saved,
@@ -83,12 +89,12 @@ def greedy_trajectory(
     S: set[int] = set()
     results: dict[int, SolverResult] = {}
     if ks and ks[0] == 0:
-        results[0] = _finish(instance, S, t0, 0, "greedy")
+        results[0] = _finish(instance, evaluator, S, t0, 0, "greedy")
     for step in range(1, (ks[-1] if ks else 0) + 1):
         gains = evaluator.gains(S)
         S.add(int(np.argmax(gains)))
         if step in ks:
-            results[step] = _finish(instance, S, t0, step, "greedy")
+            results[step] = _finish(instance, evaluator, S, t0, step, "greedy")
     return results
 
 
@@ -96,27 +102,51 @@ def _swap_search(instance, S0, evaluation, algorithm, replacements) -> SolverRes
     """Best-improvement swap passes, shared by local search and hill climbing.
 
     A pass scans the swaps (v, w) of its starting set S, v ascending and then
-    w ascending over ``replacements(v)`` outside S and the infected set, and
-    keeps the first swap whose total beats every earlier one and S itself.
-    The pass commits that swap; a pass without one ends the search.  The
-    totals of a pass come from one ``swap_totals`` call, whose first maximum
-    in row-major order is that swap.
+    w ascending over the replacements of v outside S and the infected set,
+    and keeps the first swap whose total beats every earlier one and S
+    itself.  The pass commits that swap; a pass without one ends the search.
+    The totals of a pass come from one ``swap_totals`` call, whose first
+    maximum in row-major order is that swap.  ``replacements(instance,
+    nodes)`` is its mask: row i marks the replacements of ``nodes[i]``.
+
+    S is totalled once.  Every evaluator reduces the same integer counts
+    through ``weighted_total``, so the committed swap's entry is the float
+    that ``total_saved`` would give for the new S, and it is carried over.
     """
     t0 = time.perf_counter()
     S = checked_nodes(S0, instance.n, instance.infected, instance.k)
     evaluator = make_evaluator(instance, evaluation)
+    current = evaluator.total_saved(S)
     passes = 0
     while True:
         passes += 1
-        current = evaluator.total_saved(S)
-        totals = evaluator.swap_totals(S, replacements)
+        nodes = sorted(S)
+        totals = evaluator.swap_totals(S, replacements(instance, nodes))
         if not totals.size:
             break
         i, w = np.unravel_index(np.argmax(totals), totals.shape)
         if not totals[i, w] > current:
             break
-        S = (S - {sorted(S)[i]}) | {int(w)}
-    return _finish(instance, S, t0, passes, algorithm)
+        S = (S - {nodes[i]}) | {int(w)}
+        current = totals[i, w]
+    return _finish(instance, evaluator, S, t0, passes, algorithm)
+
+
+def _graph_neighbors(instance, nodes) -> np.ndarray:
+    """Row i marks the graph neighbours, in or out, of ``nodes[i]``."""
+    graph, n = instance.graph, instance.n
+    row = np.full(n, -1, dtype=np.intp)
+    row[nodes] = np.arange(len(nodes))
+    allowed = np.zeros((len(nodes), n), dtype=bool)
+    for a, b in ((graph.src, graph.dst), (graph.dst, graph.src)):
+        hit = row[a] >= 0
+        allowed[row[a[hit]], b[hit]] = True
+    return allowed
+
+
+def _every_node(instance, nodes) -> np.ndarray:
+    """Every row marks every node."""
+    return np.ones((len(nodes), instance.n), dtype=bool)
 
 
 def local_search(instance: ProblemInstance, S0, evaluation: str = "bfs") -> SolverResult:
@@ -127,7 +157,7 @@ def local_search(instance: ProblemInstance, S0, evaluation: str = "bfs") -> Solv
     committed at pass end.  Only strictly improving swaps are accepted, so the
     result never scores below S0 and termination is guaranteed.
     """
-    return _swap_search(instance, S0, evaluation, "ls", instance.graph.neighbors)
+    return _swap_search(instance, S0, evaluation, "ls", _graph_neighbors)
 
 
 def hill_climb(instance: ProblemInstance, S0, evaluation: str = "bfs") -> SolverResult:
@@ -136,4 +166,4 @@ def hill_climb(instance: ProblemInstance, S0, evaluation: str = "bfs") -> Solver
     Unlike local search the replacement node can be any non-infected node, so
     the neighborhood is larger and convergence is slower.
     """
-    return _swap_search(instance, S0, evaluation, "hc", lambda v: range(instance.n))
+    return _swap_search(instance, S0, evaluation, "hc", _every_node)

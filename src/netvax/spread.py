@@ -88,6 +88,19 @@ class SpreadResult:
     per_topology_saved: tuple[int, ...]
     avg_saved: float
 
+    @classmethod
+    def from_counts(cls, n: int, per_topology_saved, mu: np.ndarray | None) -> "SpreadResult":
+        """The result for these counts: their mu-weighted total, or their mean without mu.
+
+        The one place the mean is taken, so ``avg_saved`` and the solvers,
+        which read the counts off their evaluator, report the same floats.
+        """
+        per = tuple(per_topology_saved)
+        mean = weighted_total(per, mu)
+        if mu is None and per:
+            mean /= len(per)
+        return cls(n, per, mean)
+
     @property
     def avg_infected(self) -> float:
         return self.n - self.avg_saved
@@ -176,11 +189,7 @@ def avg_saved(instance: ProblemInstance, S) -> SpreadResult:
     I = instance.infected
     S = checked_nodes(S, instance.n, I, instance.k)
     per = tuple(t.n - len(_reach(t, S, I)) for t in instance.topologies)
-    mu = instance.topologies.mu
-    mean = weighted_total(per, mu)
-    if mu is None and per:
-        mean /= len(per)
-    return SpreadResult(instance.n, per, mean)
+    return SpreadResult.from_counts(instance.n, per, instance.topologies.mu)
 
 
 def exhaustive_optimal(instance: ProblemInstance) -> tuple[VaccinationSet, float]:

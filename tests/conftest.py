@@ -13,6 +13,7 @@ from netvax import (
     ProblemInstance,
     Topology,
     TopologySet,
+    enumerate_all,
     generate_er,
     sample_ic,
     sample_lt,
@@ -70,6 +71,23 @@ def random_instance(seed, model=None, n=10, p=0.25, s=4, n_infected=1, k=2):
     sampler = sample_lt if model == LT else sample_ic
     ts = sampler(graph, s, int(rng.integers(1 << 30)))
     return ProblemInstance(graph, infected, k, ts)
+
+
+def enumerated_instance(seed, model, n=6, p=0.35, k=2):
+    """Small instance over every topology of a random graph, weighted by mu."""
+    rng = np.random.default_rng(seed)
+    graph = generate_er(n, p, model, int(rng.integers(1 << 30)))
+    ts = enumerate_all(graph)
+    assert len({t.mu for t in ts}) > 1
+    return ProblemInstance(graph, frozenset({int(rng.integers(n))}), k, ts)
+
+
+def neighbor_mask(inst, S):
+    """Local search's swap mask from ``Graph.neighbors``: row i for the i-th node of sorted(S)."""
+    allowed = np.zeros((len(S), inst.n), dtype=bool)
+    for i, v in enumerate(sorted(S)):
+        allowed[i, list(inst.graph.neighbors(v))] = True
+    return allowed
 
 
 def random_topology(rng, n, p):

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, random_topology, single_topology_instance
+from conftest import (
+    enumerated_instance,
+    neighbor_mask,
+    random_instance,
+    random_topology,
+    single_topology_instance,
+)
 
 from netvax import (
     IC,
@@ -19,16 +25,14 @@ from netvax import (
     ProblemInstance,
     Topology,
     TopologySet,
-    enumerate_all,
     exhaustive_optimal,
-    generate_er,
     greedy,
     hill_climb,
     local_search,
     saved_on,
 )
 from netvax.bench import build_instance
-from netvax.errors import ModelMismatchError
+from netvax.errors import ContractViolationError, ModelMismatchError
 from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator, make_evaluator
 
 
@@ -159,10 +163,52 @@ def assert_same_swap_totals(fast, ref, S):
     (graph neighbours).
     """
     inst = fast.instance
-    for replacements in (lambda v: range(inst.n), inst.graph.neighbors):
-        got = fast.swap_totals(S, replacements)
+    for allowed in (np.ones((len(S), inst.n), dtype=bool), neighbor_mask(inst, S)):
+        got = fast.swap_totals(S, allowed)
         assert got.shape == (len(S), inst.n)
-        assert np.array_equal(got, ref.swap_totals(S, replacements))
+        assert np.array_equal(got, ref.swap_totals(S, allowed))
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**20),
+    model=st.sampled_from([LT, IC]),
+    enumerated=st.booleans(),
+    data=st.data(),
+)
+def test_swap_totals_agree_on_random_masks(seed, model, enumerated, data):
+    # any mask: empty rows, and marks on S and the infected set, which must
+    # still come back -inf; LT structural without mu runs its cover pass
+    if enumerated:
+        inst = enumerated_instance(seed, model, k=3)
+    else:
+        inst = random_instance(seed, model=model, n=12, p=0.3, s=4, n_infected=2, k=4)
+    S = frozenset(
+        data.draw(st.lists(st.sampled_from(inst.candidates()), min_size=1, max_size=inst.k, unique=True))
+    )
+    rng = np.random.default_rng(seed)
+    allowed = rng.random((len(S), inst.n)) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    allowed[data.draw(st.integers(0, len(S) - 1))] = False
+    blocked = sorted(S | inst.infected)
+    if data.draw(st.booleans()):
+        allowed[:, blocked] = True
+    ref = BfsEvaluator(inst)
+    got = make_evaluator(inst, "structural").swap_totals(S, allowed)
+    assert np.array_equal(got, ref.swap_totals(S, allowed))
+    expected_open = allowed.copy()
+    expected_open[:, blocked] = False
+    assert np.array_equal(got != -np.inf, expected_open)
+
+
+@pytest.mark.parametrize("evaluation", ["bfs", "structural"])
+@pytest.mark.parametrize("model", [LT, IC])
+def test_swap_mask_of_the_wrong_shape_is_a_contract_violation(model, evaluation):
+    inst = random_instance(1, model=model, n=10, s=3, n_infected=1, k=3)
+    evaluator = make_evaluator(inst, evaluation)
+    S = inst.candidates()[:3]
+    for shape in ((2, inst.n), (3, inst.n - 1), (inst.n,)):
+        with pytest.raises(ContractViolationError, match="swap mask has shape"):
+            evaluator.swap_totals(S, np.ones(shape, dtype=bool))
 
 
 def nested_pair(topo, seeds, rng):
@@ -221,15 +267,6 @@ def test_lt_evaluator_rejects_multi_parent_topologies():
     graph = Graph(3, [(0, 2, 0.3), (1, 2, 0.3)], LT)
     with pytest.raises(ModelMismatchError):
         ProblemInstance(graph, frozenset({0}), 1, ts)
-
-
-def enumerated_instance(seed, model, n=6, p=0.35, k=2):
-    """Small instance over every topology of a random graph, weighted by mu."""
-    rng = np.random.default_rng(seed)
-    graph = generate_er(n, p, model, int(rng.integers(1 << 30)))
-    ts = enumerate_all(graph)
-    assert len({t.mu for t in ts}) > 1
-    return ProblemInstance(graph, frozenset({int(rng.integers(n))}), k, ts)
 
 
 def swap_ties(instance, S):
@@ -317,7 +354,7 @@ def assert_serves_like_fresh(inst, evaluation):
     S = inst.candidates()[: max(inst.k, 1)]
     assert served.total_saved(S) == fresh.total_saved(S)
     assert np.array_equal(served.gains(S), fresh.gains(S))
-    swaps = inst.graph.neighbors
+    swaps = neighbor_mask(inst, S)
     assert np.array_equal(served.swap_totals(S, swaps), fresh.swap_totals(S, swaps))
     return served
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance, single_topology_instance, tiny_config
+from conftest import (
+    enumerated_instance,
+    neighbor_mask,
+    random_instance,
+    single_topology_instance,
+    tiny_config,
+)
 
 from netvax import (
     IC,
@@ -14,13 +20,14 @@ from netvax import (
     avg_saved,
     exhaustive_optimal,
     greedy,
+    heuristics,
     hill_climb,
     local_search,
     sample_ic,
 )
 from netvax.bench import ExperimentConfig, build_instance, sweep_budget
 from netvax.errors import ContractViolationError, ParameterError
-from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator
+from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator, make_evaluator
 from netvax.heuristics import greedy_trajectory
 
 
@@ -351,3 +358,113 @@ def test_budget_sweep_builds_one_evaluator_per_repetition(builds, overrides):
     assert len(rows) == 3 * 2 * 3
     built = "LtChainEvaluator" if overrides["model"] == LT else "IcDominatorEvaluator"
     assert builds == {"LtChainEvaluator": 0, "IcDominatorEvaluator": 0, built: 2}
+
+
+def test_lt_structural_solvers_build_no_bfs_adjacency():
+    # the LT kernel answers gains, swaps and the final counts; nothing walks ``Topology.out``
+    for seed in range(3):
+        inst = build_instance(
+            ExperimentConfig(model=LT, generator="waxman", n=40, centers=3, samples=20, seed=seed), 0
+        )
+        start = greedy(inst, evaluation="structural").vaccination
+        local_search(inst, start, evaluation="structural")
+        hill_climb(inst, inst.candidates()[: inst.k], evaluation="structural")
+        assert all(t._out is None for t in inst.topologies)
+
+
+def test_local_search_mask_holds_the_graph_neighbours():
+    rng = np.random.default_rng(4)
+    for seed in range(6):
+        inst = random_instance(seed, n=14, p=0.2, s=2, n_infected=2, k=5)
+        cands = inst.candidates()
+        for size in (0, 1, 5):
+            nodes = sorted(int(v) for v in rng.choice(cands, size=size, replace=False))
+            assert np.array_equal(heuristics._graph_neighbors(inst, nodes), neighbor_mask(inst, nodes))
+
+
+# --- exact results: final counts and carried totals ------------------------------
+
+
+class RecordingEvaluator:
+    """Passes every call through to an evaluator and logs each ``swap_totals`` call."""
+
+    def __init__(self, evaluator, log):
+        self._evaluator = evaluator
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._evaluator, name)
+
+    def swap_totals(self, S, allowed):
+        totals = self._evaluator.swap_totals(S, allowed)
+        self._log.append((frozenset(S), totals))
+        return totals
+
+
+def reference_swap_search(inst, S0, replacements):
+    """The swap scan written out: each pass re-scores S and every swap with ``avg_saved``.
+
+    Returns the final set and the pass count.
+    """
+    S, passes = frozenset(S0), 0
+    while True:
+        passes += 1
+        best, best_set = avg_saved(inst, S).avg_saved, None
+        for v in sorted(S):
+            for w in replacements(v):
+                if w not in S and w not in inst.infected:
+                    swapped = (S - {v}) | {w}
+                    value = avg_saved(inst, swapped).avg_saved
+                    if value > best:
+                        best, best_set = value, swapped
+        if best_set is None:
+            return S, passes
+        S = best_set
+
+
+@pytest.mark.parametrize("model", [LT, IC])
+def test_solver_results_are_exact(monkeypatch, model):
+    # with either evaluator, the reported counts equal a fresh BFS; each
+    # committed swap's total, which the search carries into the next pass,
+    # equals ``total_saved`` bit for bit; the searches end where the
+    # written-out scan ends
+    log = []
+    monkeypatch.setattr(
+        heuristics,
+        "make_evaluator",
+        lambda inst, mode: RecordingEvaluator(make_evaluator(inst, mode), log),
+    )
+    swaps = {"sampled": 0, "enumerated": 0}
+    for seed in range(4):
+        for kind, inst in (
+            ("sampled", random_instance(seed, model=model, n=12, p=0.25, s=5, n_infected=2, k=3)),
+            ("enumerated", enumerated_instance(seed, model, n=5, k=2)),
+        ):
+            g = greedy(inst, "bfs")
+            neighbourhoods = (
+                (local_search, inst.graph.neighbors),
+                (hill_climb, lambda v: range(inst.n)),
+            )
+            expected = {
+                (start, search): reference_swap_search(inst, start, replacements)
+                for start in (g.vaccination.nodes, frozenset(inst.candidates()[: inst.k]))
+                for search, replacements in neighbourhoods
+            }
+            for evaluation in ("bfs", "structural"):
+                evaluator = make_evaluator(inst, evaluation)
+                results = [greedy(inst, evaluation), *greedy_trajectory(inst, [0, 1], evaluation).values()]
+                for (start, search), reference in expected.items():
+                    log.clear()
+                    res = search(inst, start, evaluation=evaluation)
+                    assert (res.vaccination.nodes, res.iterations) == reference
+                    results.append(res)
+                    for (S, totals), (after, _) in zip(log, log[1:]):
+                        i, w = np.unravel_index(np.argmax(totals), totals.shape)
+                        assert after == (S - {sorted(S)[i]}) | {int(w)}
+                        assert float(totals[i, w]).hex() == float(evaluator.total_saved(after)).hex()
+                        swaps[kind] += 1
+                for res in results:
+                    fresh = avg_saved(inst, res.vaccination)
+                    assert res.avg_saved == fresh.avg_saved
+                    assert res.per_topology_saved == fresh.per_topology_saved
+    assert all(swaps.values())

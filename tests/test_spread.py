@@ -11,6 +11,7 @@ from netvax import (
     LT,
     Graph,
     ProblemInstance,
+    SpreadResult,
     Topology,
     TopologySet,
     VaccinationSet,
@@ -105,6 +106,21 @@ def test_avg_saved_enumerated_expectation():
     res = avg_saved(inst, set())
     # infected expectation 1 + 1/2 + 1/4, saved = 3 - 1.75
     assert res.avg_saved == pytest.approx(1.25, abs=1e-12)
+
+
+def test_avg_saved_of_sampled_topologies_is_their_mean():
+    # chain 0 -> 1 -> 2 -> 3 and its first edge alone; vaccinating 2 saves 2 and 3
+    g = path_graph([0.5, 0.5, 0.5], IC)
+    ts = TopologySet([chain_topology(4), Topology(4, [(0, 1)])], "", 0)
+    inst = ProblemInstance(g, frozenset({0}), 1, ts)
+    res = avg_saved(inst, {2})
+    assert res.per_topology_saved == (2, 2)
+    assert avg_saved(inst, set()).per_topology_saved == (0, 2)
+    assert avg_saved(inst, set()).avg_saved == 1.0
+    assert res == SpreadResult.from_counts(4, [2, 2], None)
+    mu = np.array([0.25, 0.75])
+    assert SpreadResult.from_counts(4, [0, 2], mu).avg_saved == 1.5
+    assert SpreadResult.from_counts(4, [], None).avg_saved == 0.0
 
 
 def test_avg_saved_monotone_in_vaccination():
