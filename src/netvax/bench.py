@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -96,7 +95,6 @@ class ResultRow:
     saved_pct: float | None
     wall_time_s: float
     status: str
-    toposet_digest: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def build_instance(config: ExperimentConfig, rep: int) -> ProblemInstance:
     return ProblemInstance(graph, infected, k, topologies)
 
 
-def _row(config, instance, rep, algorithm, saved, wall, status, digest):
+def _row(config, instance, rep, algorithm, saved, wall, status):
     n = instance.n
     pct = None if saved is None else 100.0 * saved / n
     return ResultRow(
@@ -201,7 +199,6 @@ def _row(config, instance, rep, algorithm, saved, wall, status, digest):
         saved_pct=pct,
         wall_time_s=wall,
         status=status,
-        toposet_digest=digest,
     )
 
 
@@ -235,14 +232,13 @@ def run_algorithms(
     ``greedy_result`` is greedy's result on this instance, or None when no
     configured algorithm needs it.
     """
-    digest = instance.topologies.digest()
     rows = []
     for algorithm in config.algorithms:
         t0 = time.perf_counter()
         S, status = _solve(algorithm, config, instance, greedy_result)
         wall = greedy_result.wall_time if algorithm == "greedy" else time.perf_counter() - t0
         saved = None if S is None else avg_saved(instance, S).avg_saved
-        rows.append(_row(config, instance, rep, algorithm, saved, wall, status, digest))
+        rows.append(_row(config, instance, rep, algorithm, saved, wall, status))
     return rows
 
 
@@ -264,37 +260,25 @@ def _rows(
     ]
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
+def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """One graph + seed draw + topology sample per repetition, all algorithms."""
-    return sweep_budget(config, [config.budget_fraction], threads)
+    return sweep_budget(config, [config.budget_fraction])
 
 
-def sweep_budget(
-    config: ExperimentConfig, budgets: Iterable[float], threads: int = 1
-) -> list[ResultRow]:
+def sweep_budget(config: ExperimentConfig, budgets: Iterable[float]) -> list[ResultRow]:
     """Every algorithm at every budget fraction, on one instance per repetition.
 
     A repetition runs one greedy pass to its largest budget: greedy's choice
     order does not depend on k, so each budget reads its set off that pass.
-    Rows are budget-major, then ordered by (rep, algorithm).
+    Repetitions run one after another.  Rows are budget-major, then ordered
+    by (rep, algorithm).
     """
     configs = [replace(config, budget_fraction=b) for b in budgets]
     for c in configs:
         validate_config(c)
-    if threads < 1:
-        raise ParameterError("threads must be at least 1")
     if not configs:
         return []
-
-    def rep_rows(rep):
-        return _rows(configs, build_instance(configs[0], rep), rep)
-
-    reps = range(config.repetitions)
-    if threads > 1 and config.repetitions > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(rep_rows, reps))
-    else:
-        per_rep = [rep_rows(rep) for rep in reps]
+    per_rep = [_rows(configs, build_instance(configs[0], rep), rep) for rep in range(config.repetitions)]
     return [row for by_rep in zip(*per_rep) for rows in by_rep for row in rows]
 
 

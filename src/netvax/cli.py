@@ -89,7 +89,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    rows = run_experiment(config, threads=args.threads)
+    rows = run_experiment(config)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -100,7 +100,7 @@ def _cmd_sweep_budget(args) -> int:
     budgets = _parse_float_list(args.budgets)
     if not budgets or any(not (0.0 < b <= 1.0) for b in budgets):
         raise ParameterError("budgets must be fractions in (0, 1]")
-    rows = sweep_budget(config, budgets, threads=args.threads)
+    rows = sweep_budget(config, budgets)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -151,12 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="netvax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_threads=True):
+    def common(p):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if with_threads:
-            p.add_argument("--threads", type=int, default=1, help="parallel repetitions")
 
     p = sub.add_parser("run", help="run the configured experiment")
     common(p)
@@ -168,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_budget)
 
     p = sub.add_parser("sweep-samples", help="re-run at several topology sample counts")
-    common(p, with_threads=False)
+    common(p)
     p.add_argument("--samples", required=True, help="comma-separated counts, e.g. 25,50,100")
     p.add_argument("--stats-out", default=None, help="write dispersion stats CSV here")
     p.set_defaults(func=_cmd_sweep_samples)

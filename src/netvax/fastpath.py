@@ -41,9 +41,7 @@ slot and returns it again while a request has the same topology set and
 graph objects (compared by identity, so nothing is hashed), an equal
 infected set and the same mode; no evaluator reads ``k``.  Any other
 request empties the slot and then builds, so the slot never keeps an old
-evaluator alive while a new one is built.  A shared evaluator must not be used from two threads at once:
-each keeps one BFS visitation buffer, which ``bfs`` and the set totals of
-IC ``structural`` write.
+evaluator alive while a new one is built.
 """
 
 from __future__ import annotations
@@ -506,22 +504,19 @@ def make_evaluator(instance: ProblemInstance, evaluation: str = "bfs") -> BfsEva
     no evaluator reads ``k``.  So greedy, local search and hill climbing on
     one instance, and on its copies with another ``k``, share one evaluator.
     Any other request empties the slot before it builds, so the slot never
-    holds the old evaluator while the new one is built.  A shared evaluator
-    must not be used from two threads at once (its BFS visitation buffer).
+    holds the old evaluator while the new one is built.  An evaluator is not
+    safe to use from two threads at once: it keeps one BFS visitation buffer.
     """
     global _last
-    # one read of the slot, which another thread may refill at any time; no
-    # lock, because a lost update only costs a rebuild
-    last = _last
     if (
-        last is not None
-        and last.instance.topologies is instance.topologies
-        and last.instance.graph is instance.graph
-        and last.instance.infected == instance.infected
-        and last.name == evaluation
+        _last is not None
+        and _last.instance.topologies is instance.topologies
+        and _last.instance.graph is instance.graph
+        and _last.instance.infected == instance.infected
+        and _last.name == evaluation
     ):
-        return last
-    last = _last = None
+        return _last
+    _last = None
     evaluator = _build(instance, evaluation)
     _last = evaluator
     return evaluator

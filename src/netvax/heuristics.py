@@ -20,10 +20,7 @@ Each solver gets its evaluator from ``make_evaluator``, which returns the one
 it built last while the topology set and graph are the same objects, the
 infected set is equal and the mode is the same.  Greedy, local search and
 hill climbing on one instance, or on its copies with another ``k``, thus
-share one evaluator, built by the first of them to run.  So do not run two
-solvers on one instance from two threads at once: an evaluator's BFS
-visitation buffer is not thread-safe.  Instances of their own, as each
-repetition of a sweep has, are safe.
+share one evaluator, built by the first of them to run.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import tiny_config
 
-from netvax import IC, LT, TopologySet
+from netvax import IC, TopologySet
 from netvax.bench import (
     CSV_FIELDS,
     ResultRow,
@@ -45,11 +45,16 @@ def test_improvement_chain_rows():
         assert by_alg["blp"].saved_avg >= by_alg["greedy"].saved_avg - 1e-9
 
 
-def test_same_topologies_across_algorithms():
+def test_same_topologies_across_algorithms(calls):
     rows = run_experiment(tiny_config(algorithms=("greedy", "lp_tkr", "oracle"), repetitions=2))
-    for rep in (0, 1):
-        digests = {r.toposet_digest for r in rows if r.rep == rep}
-        assert len(digests) == 1
+    assert len(rows) == 2 * 3
+    by_rep = _topology_sets_by_rep(calls)
+    assert sorted(by_rep) == [0, 1]
+    assert by_rep[0] is not by_rep[1]
+    # greedy's pass ran on the set that lp_tkr and oracle received
+    passes = [args[0].topologies for args in calls["greedy_trajectory"]]
+    assert len(passes) == 2
+    assert passes[0] is by_rep[0] and passes[1] is by_rep[1]
 
 
 def test_rows_sorted_by_rep_then_algorithm():
@@ -68,29 +73,6 @@ def test_reproducible_saved_columns():
     b = run_experiment(cfg)
     assert [(r.algorithm, r.rep, r.saved_avg, r.saved_pct) for r in a] == [
         (r.algorithm, r.rep, r.saved_avg, r.saved_pct) for r in b
-    ]
-
-
-def test_threads_do_not_change_results():
-    cfg = tiny_config(repetitions=3, algorithms=("greedy", "ls"))
-    seq = run_experiment(cfg, threads=1)
-    par = run_experiment(cfg, threads=3)
-    assert [(r.rep, r.algorithm, r.saved_avg) for r in seq] == [
-        (r.rep, r.algorithm, r.saved_avg) for r in par
-    ]
-
-
-@pytest.mark.parametrize(
-    "overrides", [{"model": LT}, {"model": IC, "alpha": 0.2, "beta": 0.5}], ids=["LT", "IC"]
-)
-def test_threads_do_not_change_swap_results(overrides):
-    # each repetition has its own instance, so threads only evict each
-    # other's evaluator from the factory's slot and never share one
-    cfg = tiny_config(repetitions=3, algorithms=("greedy", "ls", "hc"), **overrides)
-    seq = run_experiment(cfg, threads=1)
-    par = run_experiment(cfg, threads=3)
-    assert [(r.rep, r.algorithm, r.saved_avg) for r in seq] == [
-        (r.rep, r.algorithm, r.saved_avg) for r in par
     ]
 
 
@@ -124,16 +106,26 @@ def test_budget_sweep_monotone_for_construction_monotone_algorithms():
             assert saved == sorted(saved)
 
 
-def test_budget_sweep_shares_graph_and_samples():
+def test_budget_sweep_shares_graph_and_samples(calls):
     rows = sweep_budget(tiny_config(), [0.1, 0.3])
-    digests = {r.toposet_digest for r in rows}
-    assert len(digests) == 1
+    assert len(calls["run_algorithms"]) == 2
+    assert len(_topology_sets_by_rep(calls)) == 1
+    (_, first, _, _), (_, second, _, _) = calls["run_algorithms"]
+    assert first.graph is second.graph
     ks = {r.budget: r.k for r in rows}
     assert ks[0.3] > ks[0.1]
 
 
 def _without_wall_time(rows):
     return [replace(r, wall_time_s=0.0) for r in rows]
+
+
+def _topology_sets_by_rep(calls):
+    """The topology set that every budget and algorithm of a repetition received, by rep."""
+    by_rep = {}
+    for _, instance, rep, _ in calls["run_algorithms"]:
+        assert by_rep.setdefault(rep, instance.topologies) is instance.topologies
+    return by_rep
 
 
 @pytest.mark.parametrize(
@@ -145,23 +137,23 @@ def _without_wall_time(rows):
         dict(n=30, model=IC, alpha=0.3, beta=0.5, algorithms=("ls", "lp_tkr"), evaluation="bfs"),
     ],
 )
-def test_budget_sweep_rows_equal_separate_runs(overrides):
+def test_budget_sweep_rows_equal_separate_runs(calls, overrides):
     cfg = tiny_config(repetitions=2, **overrides)
     budgets = [0.1, 0.3, 0.1, 0.2]
     swept = sweep_budget(cfg, budgets)
+    assert len(calls["run_algorithms"]) == len(budgets) * 2
+    assert sorted(_topology_sets_by_rep(calls)) == [0, 1]
     separate = [row for b in budgets for row in run_experiment(replace(cfg, budget_fraction=b))]
     assert _without_wall_time(swept) == _without_wall_time(separate)
-    assert [r.toposet_digest for r in swept] == [r.toposet_digest for r in separate]
-    assert _without_wall_time(sweep_budget(cfg, budgets, threads=2)) == _without_wall_time(swept)
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Arguments of every call to the harness's instance builder and greedy entry points."""
+    """Arguments of every call to the harness's instance builder, greedy entry points and algorithm runner."""
     import netvax.bench as bench
     import netvax.heuristics as heuristics
 
-    calls = {"build_instance": [], "greedy_trajectory": [], "greedy": []}
+    calls = {"build_instance": [], "greedy_trajectory": [], "greedy": [], "run_algorithms": []}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -174,6 +166,7 @@ def calls(monkeypatch):
 
     counting(bench, "build_instance")
     counting(bench, "greedy_trajectory")
+    counting(bench, "run_algorithms")
     counting(heuristics, "greedy")  # the harness has no greedy of its own to patch
     return calls
 
@@ -202,19 +195,21 @@ def test_sample_sweep_runs_one_greedy_pass_per_instance(calls):
     assert passes == [(s, [2]) for _ in range(2) for s in (3, 5, 4)]
 
 
-def test_budget_sweep_hashes_each_topology_set_once(monkeypatch):
-    hashed = []
+def test_harness_serializes_no_topology_set(monkeypatch):
+    serialized = []
     serialize = TopologySet.serialize
 
     def counting(self):
-        hashed.append(self)
+        serialized.append(self)
         return serialize(self)
 
     monkeypatch.setattr(TopologySet, "serialize", counting)
-    rows = sweep_budget(tiny_config(repetitions=2), [0.1, 0.2, 0.3])
-    assert len(rows) == 3 * 2
-    assert len(hashed) == 2
-    assert len({r.toposet_digest for r in rows}) == 2
+    cfg = tiny_config(algorithms=("greedy", "ls", "hc", "lp_tkr"), repetitions=2)
+    assert len(run_experiment(cfg)) == 2 * 4
+    assert len(sweep_budget(cfg, [0.1, 0.2, 0.3])) == 3 * 2 * 4
+    rows, _ = sweep_samples(cfg, [3, 5])
+    assert len(rows) == 2 * 2 * 4
+    assert serialized == []
 
 
 def test_greedy_rows_report_the_shared_pass_time():
@@ -259,7 +254,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
     emit_csv(rows, path)
     back = read_csv(path)
-    assert back == rows  # digest excluded from equality
+    assert back == rows
     assert path.read_text().splitlines()[0] == ",".join(CSV_FIELDS)
 
 

@@ -218,16 +218,20 @@ def test_repeated_config_key_exits_2(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_threads_below_one_exit_2(tmp_path):
-    cfg = write_config(tmp_path)
-    for threads in ("0", "-3"):
-        out = tmp_path / f"run{threads}.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
-        assert not out.exists()
-        code = main(
-            ["sweep-budget", "--config", str(cfg), "--out", str(out), "--budgets", "0.1", "--threads", threads]
-        )
-        assert code == 2
+@pytest.mark.parametrize("command", [["run"], ["sweep-budget", "--budgets", "0.1"]], ids=["run", "sweep-budget"])
+def test_threads_option_is_a_usage_error(tmp_path, capsys, command):
+    # repetitions run one after another; an old script that passes --threads
+    # stops with argparse's usage error instead of running
+    out = tmp_path / "rows.csv"
+    argv = command + ["--config", str(write_config(tmp_path)), "--out", str(out), "--threads", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: netvax")
+    assert "netvax: error: unrecognized arguments: --threads 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["graph 3 IC extra\n", "graph 3 IC\nedge 0 1 0.5 9\n"])
