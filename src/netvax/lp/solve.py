@@ -3,9 +3,10 @@
 Two interchangeable relaxed-LP engines: ``highs`` (scipy's HiGHS interface,
 the default) and ``simplex`` (the built-in tableau solver, for desk-scale
 models and cross-checks).  Binary models are solved exactly by branch and
-bound: branch on the most fractional vaccination variable, explore in
-best-bound order with depth-first tie-breaks, and stop at ``node_cap``
-nodes with a capacity status.
+bound: solve the root LP once, round it to an incumbent, branch on the most
+fractional vaccination variable, explore in best-bound order with
+depth-first tie-breaks, and stop at ``node_cap`` nodes with a capacity
+status that keeps the best set found.
 
 Every simplex solve and every branch-and-bound node LP runs on the
 reachability-pruned view of ``pruned_view``; relaxed HiGHS solves keep the
@@ -41,7 +42,8 @@ def _solve_relaxed(model, engine, lower, upper, view=None):
     if view is not None:
         cols, rows = view
         c, A, rhs, eq, lo, hi = c[cols], A[rows][:, cols], rhs[rows], eq[rows], lo[cols], hi[cols]
-    if engine == "highs":
+    # HiGHS rejects a model with no columns; the simplex answers it
+    if engine == "highs" and len(c):
         res = linprog(
             c,
             A_ub=A[~eq],
@@ -55,14 +57,12 @@ def _solve_relaxed(model, engine, lower, upper, view=None):
             return "infeasible", None, None
         if res.status != 0:
             return "capacity", None, None
-    elif engine == "simplex":
+    else:
         res = solve_simplex(c, A, rhs, eq, lo, hi)
         if res.status == "unbounded":
             raise RuntimeError("unbounded LP; infection models are box-bounded")
         if res.status != "optimal":
             return res.status, None, None
-    else:
-        raise ParameterError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if view is None:
         values = res.x
     else:
@@ -83,77 +83,60 @@ def _bounds_for(model, fixed0, fixed1):
 
 
 def _branch_and_bound(model: LpModel, engine: str, node_cap: int) -> LpSolution:
-    int_vars = sorted(model.integral)
+    int_vars = np.array(sorted(model.integral), dtype=np.int64)
     i_base = model.s * model.n
     # seeds are never vaccinated; pinned nodes always are
     must0 = set((i_base + model.infected).tolist())
-    must1 = set((i_base + model.pins).tolist())
+    must1 = frozenset((i_base + model.pins).tolist())
 
     def node_lp(fixed0, fixed1):
         view = pruned_view(model, [v - i_base for v in fixed1])
         return _solve_relaxed(model, engine, *_bounds_for(model, fixed0, fixed1), view)
 
-    status, values, objective = node_lp((), ())
-    if status != "optimal":
-        return LpSolution(status=status, values=(), objective=float("nan"))
-
-    incumbent_values = None
-    incumbent_obj = float("inf")
-
-    def try_integral_assignment(assignment1: set[int]):
-        nonlocal incumbent_values, incumbent_obj
-        fixed1 = frozenset(assignment1 | must1)
-        fixed0 = frozenset(v for v in int_vars if v not in fixed1)
-        st, vals, obj = node_lp(fixed0, fixed1)
-        if st == "optimal" and obj < incumbent_obj:
-            incumbent_values, incumbent_obj = vals, obj
-
-    # Root dive: round the relaxation to a feasible assignment for an early
-    # incumbent, which lets best-bound search prune aggressively.
-    free = [v for v in int_vars if v not in must0 and v not in must1]
-    scores = sorted(free, key=lambda v: (-values[v], v))
-    room = max(model.budget - len(must1), 0)
-    try_integral_assignment(set(scores[:room]))
-
-    counter = 0
-    heap = [(objective, 0, counter, frozenset(), frozenset())]
-    pops = 0
+    root = status, values, objective = node_lp((), ())
+    incumbent, incumbent_obj = None, float("inf")
+    heap = []
+    if status == "optimal":
+        # Root dive: round the relaxation to a feasible assignment for an early
+        # incumbent, which lets best-bound search prune aggressively.
+        free = model.integral - must0 - must1
+        room = max(model.budget - len(must1), 0)
+        dive1 = must1.union(sorted(free, key=lambda v: (-values[v], v))[:room])
+        st, vals, obj = node_lp(model.integral - dive1, dive1)
+        if st == "optimal":
+            incumbent, incumbent_obj = vals, obj
+        heap.append((objective, 0, 0, frozenset(), frozenset()))
+    counter = pops = 0
     while heap:
         bound, negdepth, _, fixed0, fixed1 = heapq.heappop(heap)
         if bound >= incumbent_obj - _PRUNE_TOL:
             break  # best-bound order: every remaining node is at least as bad
         pops += 1
         if pops > node_cap:
-            return LpSolution(
-                status="capacity",
-                values=tuple() if incumbent_values is None else tuple(incumbent_values),
-                objective=incumbent_obj if incumbent_values is not None else float("nan"),
-            )
-        status, values, objective = node_lp(fixed0, fixed1)
-        if status != "optimal" or objective >= incumbent_obj - _PRUNE_TOL:
+            status = "capacity"
+            break
+        # the root is the first node popped, and its LP is solved already
+        st, vals, obj = root if pops == 1 else node_lp(fixed0, fixed1)
+        if st != "optimal" or obj >= incumbent_obj - _PRUNE_TOL:
             continue
-        branch_var = -1
-        branch_frac = _INT_TOL
-        for v in int_vars:
-            frac = min(values[v], 1.0 - values[v])
-            if frac > branch_frac:
-                branch_var = v
-                branch_frac = frac
-        if branch_var < 0:
-            incumbent_values, incumbent_obj = values, objective
+        frac = np.minimum(vals[int_vars], 1.0 - vals[int_vars])
+        if not frac.size or frac.max() <= _INT_TOL:
+            incumbent, incumbent_obj = vals, obj
             continue
-        depth = -negdepth + 1
+        # most fractional, lowest index on ties
+        branch_var = int(int_vars[np.argmax(frac)])
+        depth = 1 - negdepth
         counter += 1
-        heapq.heappush(heap, (objective, -depth, counter, fixed0 | {branch_var}, fixed1))
+        heapq.heappush(heap, (obj, -depth, counter, fixed0 | {branch_var}, fixed1))
         if len(fixed1 | must1) < model.budget:
             counter += 1
-            heapq.heappush(heap, (objective, -depth, counter, fixed0, fixed1 | {branch_var}))
+            heapq.heappush(heap, (obj, -depth, counter, fixed0, fixed1 | {branch_var}))
 
-    if incumbent_values is None:
-        return LpSolution(status="infeasible", values=(), objective=float("nan"))
-    return LpSolution(
-        status="optimal", values=tuple(incumbent_values), objective=incumbent_obj
-    )
+    if incumbent is None:
+        if status == "optimal":  # the root LP solved, but no node was integral
+            status = "infeasible"
+        incumbent, incumbent_obj = (), float("nan")
+    return LpSolution(status=status, values=tuple(incumbent), objective=incumbent_obj)
 
 
 def solve(model: LpModel, engine: str = "highs", node_cap: int = DEFAULT_NODE_CAP) -> LpSolution:
@@ -177,8 +160,6 @@ def solve_blp(
     """Exact sampled-optimal vaccination set via the binary program."""
     model = build_model(instance, relaxed=False)
     solution = solve(model, engine=engine, node_cap=node_cap)
-    if solution.status != "optimal":
-        return VaccinationSet(frozenset()), solution
+    # the incumbent's values, also on capacity; none when no set was feasible
     ivals = model.i_values(solution.values)
-    S = frozenset(j for j in range(model.n) if ivals[j] > 0.5)
-    return VaccinationSet(S), solution
+    return VaccinationSet(frozenset(j for j, v in enumerate(ivals) if v > 0.5)), solution

@@ -4,6 +4,9 @@ A topology is one deterministic realization of the diffusion process: an
 unweighted directed graph over the same nodes, containing only the edges
 that were sampled live.  LT realizations keep at most one incoming edge per
 node; IC realizations keep each edge independently with its probability.
+Topology t draws from ``substream(seed, t)``, so it is the same for any
+sample count above t, and sets built at different sample counts share
+prefixes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 from .graph import IC, LT, Graph, validate
-from .util import first_repeat, fmt_float, reject_extra_fields, text_lines
+from .util import first_repeat, fmt_float, reject_extra_fields, substream, text_lines
 
 # Enumeration guards: IC is exponential in the edge count, LT in the product
 # of per-node (indegree + 1) choices.
@@ -238,13 +241,6 @@ def _check_sampling_pre(graph: Graph, model: str, s: int, seed: int) -> None:
         raise ParameterError(f"graph fails validation: {report.violations[0]}")
 
 
-def _topology_rng(seed: int, index: int) -> np.random.Generator:
-    # One substream per topology index: topology i is identical for any s > i,
-    # which lets solvers built at different sample counts share prefixes.
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _lt_choices(graph: Graph) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """The incoming edges of every node, grouped by head and ascending by source.
 
@@ -292,7 +288,7 @@ def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
     pairs, head, n_heads, before, after = _lt_choices(graph)
     topologies = []
     for t in range(s):
-        u = _topology_rng(seed, t).random(n_heads)[head]
+        u = substream(seed, t).random(n_heads)[head]
         # weights are >= 0, so running sums rise along a head's edges and at
         # most one edge of each head has its draw in [before, after)
         topologies.append(Topology._sampled(graph.n, pairs[(before <= u) & (u < after)]))
@@ -304,7 +300,7 @@ def sample_ic(graph: Graph, s: int, seed: int) -> TopologySet:
     _check_sampling_pre(graph, IC, s, seed)
     pairs = np.column_stack((graph.src, graph.dst)).astype(np.int32)
     topologies = [
-        Topology._sampled(graph.n, pairs[_topology_rng(seed, t).random(graph.m) < graph.value])
+        Topology._sampled(graph.n, pairs[substream(seed, t).random(graph.m) < graph.value])
         for t in range(s)
     ]
     return TopologySet(topologies, graph, seed)

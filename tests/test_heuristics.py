@@ -252,25 +252,28 @@ def test_ic_structural_swaps_match_bfs():
 
 
 def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
-    calls = {"batch_total": 0, "dominator": 0}
-    batch_total = BfsEvaluator.batch_total
+    # one BFS count per topology for the start total and one for the final
+    # total; every swap pass reads the dominator table instead
+    calls = {"saved_one": 0, "dominator": 0}
+    saved_one = BfsEvaluator._saved_one
     dominator_pass = IcDominatorEvaluator._dominator_pass
 
-    def counted_batch_total(self, sets):
-        calls["batch_total"] += 1
-        return batch_total(self, sets)
+    def counted_saved_one(self, *args, **kwargs):
+        calls["saved_one"] += 1
+        return saved_one(self, *args, **kwargs)
 
     def counted_dominator_pass(self, *args):
         calls["dominator"] += 1
         return dominator_pass(self, *args)
 
-    monkeypatch.setattr(BfsEvaluator, "batch_total", counted_batch_total)
+    monkeypatch.setattr(BfsEvaluator, "_saved_one", counted_saved_one)
     monkeypatch.setattr(IcDominatorEvaluator, "_dominator_pass", counted_dominator_pass)
     inst = ic_waxman_instance(0)
     start = inst.candidates()[: inst.k]
     for search in (local_search, hill_climb):
+        calls["saved_one"] = 0
         search(inst, start, evaluation="structural")
-    assert calls["batch_total"] == 0
+        assert calls["saved_one"] == 2 * len(inst.topologies), search.__name__
     assert calls["dominator"] > 0
 
 

@@ -1,5 +1,6 @@
 """Model construction, exact solving, and the rounding procedures."""
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,48 @@ def test_gap_instance_solved_exactly():
 def test_node_cap_reports_capacity():
     sol = solve(build_model(gap_instance(), relaxed=False), node_cap=0)
     assert sol.status == "capacity"
+
+
+@pytest.mark.parametrize("engine", ["highs", "simplex"])
+def test_node_cap_keeps_the_incumbent(engine):
+    inst = gap_instance()
+    S, sol = solve_blp(inst, engine=engine, node_cap=0)
+    assert sol.status == "capacity"
+    assert S.nodes == {1, 2}
+    assert len(S.nodes) <= inst.k
+    assert verify_solution(build_model(inst, relaxed=False), sol.values) == []
+    assert inst.n - sol.objective == pytest.approx(avg_saved(inst, S.nodes).avg_saved, abs=1e-9)
+
+
+@pytest.mark.parametrize("engine", ["highs", "simplex"])
+def test_branch_and_bound_solves_the_root_lp_once(engine, monkeypatch):
+    solve_module = importlib.import_module("netvax.lp.solve")
+    relaxed_solve = solve_module._solve_relaxed
+    calls = []
+
+    def counted(model, engine, lower, upper, view=None):
+        nothing_fixed = np.array_equal(lower, model.lower) and np.array_equal(upper, model.upper)
+        calls.append(nothing_fixed)
+        return relaxed_solve(model, engine, lower, upper, view)
+
+    monkeypatch.setattr(solve_module, "_solve_relaxed", counted)
+    sol = solve(build_model(gap_instance(), relaxed=False), engine=engine)
+    assert sol.status == "optimal"
+    assert len(calls) == 6
+    assert sum(calls) == 1
+
+
+@pytest.mark.parametrize("engine", ["highs", "simplex"])
+@pytest.mark.parametrize("relaxed", [True, False])
+def test_model_without_columns(engine, relaxed):
+    # n = 0: no x and no I columns, only the budget row 0 <= 0
+    inst = ProblemInstance(Graph(0, [], LT), frozenset(), 0, TopologySet([Topology(0, [])], "", 0))
+    model = build_model(inst, relaxed=relaxed)
+    assert model.num_vars == 0
+    assert solve(model, engine=engine) == LpSolution("optimal", (), 0.0)
+    S, sol = solve_blp(inst, engine=engine)
+    assert S.nodes == frozenset()
+    assert sol == LpSolution("optimal", (), 0.0)
 
 
 def test_infeasible_from_conflicting_pins():

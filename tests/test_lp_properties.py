@@ -1,5 +1,6 @@
 """Differential property tests: the HiGHS and simplex engines on one model,
-and every engine on the reachability-pruned view against the full model."""
+every engine on the reachability-pruned view against the full model, and
+branch and bound against scipy's MIP solver."""
 
 from unittest.mock import patch
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from conftest import random_instance
 
@@ -128,3 +130,32 @@ def test_node_lp_with_vaccinated_nodes_matches_the_full_model(inst, engine, data
     assert pruned[2] == pytest.approx(full[2], abs=1e-9)
     assert verify_solution(model, pruned[1]) == []
     assert np.all(pruned[1][model.i_index(np.array(fixed1, dtype=int))] == 1.0)
+
+
+def milp_solve(model):
+    """The binary model solved by ``scipy.optimize.milp``: (status, objective)."""
+    integrality = np.zeros(model.num_vars)
+    integrality[sorted(model.integral)] = 1
+    res = milp(
+        model.objective,
+        constraints=LinearConstraint(model.A, np.where(model.eq, model.rhs, -np.inf), model.rhs),
+        integrality=integrality,
+        bounds=Bounds(model.lower, model.upper),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status in (0, 2), res.message
+    return ("optimal", res.fun) if res.status == 0 else ("infeasible", None)
+
+
+@settings(max_examples=100)
+@given(inst=instances(), engine=st.sampled_from(ENGINES), data=st.data())
+def test_branch_and_bound_matches_milp(inst, engine, data):
+    # up to 2 pins, so a budget below the pin count gives an infeasible model
+    pins = data.draw(st.lists(st.sampled_from(inst.candidates()), max_size=2, unique=True)) if inst.candidates() else []
+    model = build_model(inst, relaxed=False, pinned_ones=pins)
+    sol = solve(model, engine=engine)
+    status, objective = milp_solve(model)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
+        assert verify_solution(model, sol.values) == []
