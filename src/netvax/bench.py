@@ -142,7 +142,9 @@ def validate_config(config: ExperimentConfig) -> None:
     WaxmanParams(config.alpha, config.beta, config.box_side)  # raises on bad values
 
 
-def build_graph(config: ExperimentConfig, rng) -> Graph:
+def build_graph(config: ExperimentConfig, rep: int) -> Graph:
+    """The graph of repetition ``rep``, drawn from that repetition's graph substream."""
+    rng = substream(config.seed, rep, _GRAPH)
     if config.generator == "er":
         return generate_er(config.n, config.er_p, config.model, rng)
     params = WaxmanParams(config.alpha, config.beta, config.box_side)
@@ -168,7 +170,7 @@ def _budget(fraction: float, n: int, infected_count: int) -> int:
 
 def build_instance(config: ExperimentConfig, rep: int) -> ProblemInstance:
     """Graph, infected seeds, budget, and topology samples for one repetition."""
-    graph = build_graph(config, substream(config.seed, rep, _GRAPH))
+    graph = build_graph(config, rep)
     n = graph.n
     if n == 0:
         raise ParameterError("generated graph has no nodes")

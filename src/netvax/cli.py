@@ -26,7 +26,7 @@ from .bench import (
 from .errors import FormatError, ParameterError
 from .graph import LT, read_graph, write_graph
 from .topology import sample_ic, sample_lt, write_topology_set
-from .util import text_lines, substream
+from .util import text_lines
 
 _CONFIG_EXIT = 2
 _IO_EXIT = 3
@@ -130,7 +130,7 @@ def _cmd_sweep_samples(args) -> int:
 
 def _cmd_gen_graph(args) -> int:
     config = _load_config(args)
-    graph = build_graph(config, substream(config.seed, 0, 0))
+    graph = build_graph(config, 0)  # the graph of repetition 0 of `netvax run`
     write_graph(graph, args.out)
     print(f"wrote graph n={graph.n} m={graph.m} model={graph.model} to {args.out}")
     return 0

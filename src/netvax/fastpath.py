@@ -56,7 +56,7 @@ from scipy.sparse.csgraph import depth_first_order
 from .errors import ContractViolationError, ModelMismatchError, ParameterError
 from .graph import IC, LT
 from .spread import ProblemInstance, weighted_total
-from .topology import stacked_levels
+from .topology import flowgraph
 
 
 class BfsEvaluator:
@@ -197,31 +197,6 @@ def _count_before(mask) -> np.ndarray:
     return out
 
 
-def _flowgraph(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """The reachability flowgraph of every topology, stacked, with its levels.
-
-    Node u of topology t is row t*n + u, and row s*n is a virtual
-    super-source with an edge to every seed row.  Live edges into seeds are
-    dropped: the super-source's edge alone makes a seed dominated by nothing,
-    so no other edge into it changes a count.  Returns the (tail, head)
-    edges whose tail some seed reaches with nothing vaccinated, and the BFS
-    level of every row from the super-source, -1 where unreached.
-    """
-    n, s = instance.n, len(instance.topologies)
-    root = s * n
-    seeds = np.array(sorted(instance.infected), dtype=np.int32)
-    seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()
-    live = instance.topologies.stacked_edges()
-    level = stacked_levels(live, s, n, seeds)
-    into_seed = np.zeros(root, dtype=bool)
-    into_seed[seed_rows] = True
-    edges = np.concatenate(
-        [live[~into_seed[live[:, 1]]],
-         np.column_stack([np.full(len(seed_rows), root, dtype=np.int32), seed_rows])]
-    )
-    return edges[level[edges[:, 0]] >= 0], level
-
-
 class IcDominatorEvaluator(BfsEvaluator):
     """Gains via dominator subtree counts on the reachability flowgraph.
 
@@ -253,21 +228,20 @@ class IcDominatorEvaluator(BfsEvaluator):
         root = s * n
         # a row no seed reaches with nothing vaccinated stays unreached under
         # every S, so it gets no row in the table
-        edges, level = _flowgraph(instance)
+        tail, head, level = flowgraph(instance.topologies.stacked_edges(), s, n, self.infected)
         reached = level >= 0
         # every edge runs to a higher level, as on any forest: one sweep is final
-        self._one_sweep = bool(np.all(level[edges[:, 0]] < level[edges[:, 1]]))
-        indeg = np.bincount(edges[:, 1], minlength=root + 1)
+        self._one_sweep = bool(np.all(level[tail] < level[head]))
+        indeg = np.bincount(head, minlength=root + 1)
         heads = np.flatnonzero(reached[:root])
         heads = heads[np.lexsort((-indeg[heads], level[heads]))]
         rows = len(heads)
         pos = np.full(root + 1, -1, dtype=np.int64)
         pos[heads] = np.arange(rows)
         pos[root] = rows  # the last row
-        head = pos[edges[:, 1]]
-        by_head = np.argsort(head, kind="stable")
-        tail = pos[edges[by_head, 0]]  # predecessors grouped by head row
-        del edges, head, by_head
+        by_head = np.argsort(pos[head], kind="stable")
+        tail = pos[tail[by_head]]  # predecessors grouped by head row
+        del head, by_head
         degree = indeg[heads]
         first = np.cumsum(degree) - degree  # each head's first entry in ``tail``
         head_level = level[heads]
@@ -363,7 +337,7 @@ class LtChainEvaluator(BfsEvaluator):
     """LT evaluation by subtree intervals of the live-edge forest.
 
     Every node has at most one live parent per realization, so the rows that
-    the seeds reach form a tree under the super-source of ``_flowgraph``.
+    the seeds reach form a tree under the super-source of ``flowgraph``.
     That tree is its own dominator tree: vaccinating u saves exactly the
     infected rows of u's subtree.  One DFS preorder, fixed at set-up, makes
     each subtree a contiguous interval ``[pre, end)`` of positions (the
@@ -384,10 +358,8 @@ class LtChainEvaluator(BfsEvaluator):
         super().__init__(instance)
         n, s = self.n, self.s
         root = s * n
-        edges, level = _flowgraph(instance)
-        tree = csr_matrix(
-            (np.ones(len(edges), dtype=bool), (edges[:, 0], edges[:, 1])), shape=(root + 1, root + 1)
-        )
+        tail, head, level = flowgraph(instance.topologies.stacked_edges(), s, n, self.infected)
+        tree = csr_matrix((np.ones(len(tail), dtype=bool), (tail, head)), shape=(root + 1, root + 1))
         order, parent = depth_first_order(tree, root, directed=True, return_predecessors=True)
         rows = order[1:]  # every reached row in preorder, the super-source left out
         depth = level[rows]

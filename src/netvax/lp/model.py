@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix
 
 from ..errors import ParameterError
 from ..spread import ProblemInstance
-from ..topology import stacked_levels
+from ..topology import flowgraph
 from ..util import fmt_float
 
 
@@ -178,15 +178,16 @@ def pruned_view(model: LpModel, vaccinated: Iterable[int] = ()) -> tuple[np.ndar
     positive weight and nothing that pushes it up, so it is 0 at every
     optimum, and an edge row leaving it cannot bind.  Every ``I(j)`` column is
     kept.  The kept rows are the edge rows whose source column is kept, every
-    pin row and the budget row.  One ``stacked_levels`` search over the
-    model's ``live`` edges and ``infected`` seeds finds the kept columns.
+    pin row and the budget row.  The levels of ``topology.flowgraph`` over
+    the model's ``live`` edges and ``infected`` seeds give the kept columns.
     """
     n, x_end = model.n, model.s * model.n
     vaccinated = [int(v) for v in vaccinated]
     outside = [v for v in vaccinated if not 0 <= v < n]
     if outside:
         raise ParameterError(f"cannot vaccinate node {outside[0]}: nodes lie in 0..{n - 1}")
-    reached = stacked_levels(model.live, model.s, n, model.infected, vaccinated)[:x_end] >= 0
+    _, _, level = flowgraph(model.live, model.s, n, model.infected, vaccinated)
+    reached = level[:x_end] >= 0
     cols = np.concatenate([np.flatnonzero(reached), np.arange(x_end, model.num_vars)])
     edge_rows = len(model.live)
     rows = np.concatenate([np.flatnonzero(reached[model.live[:, 0]]), np.arange(edge_rows, model.A.shape[0])])

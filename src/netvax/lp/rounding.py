@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ParameterError
 from ..spread import ProblemInstance, VaccinationSet
 from .model import LpSolution, build_model
@@ -9,6 +11,13 @@ from .solve import solve
 
 # Fractional scores at or below this are treated as zero when ranking.
 SCORE_EPS = 1e-9
+
+
+def _ranked(instance: ProblemInstance, scores) -> list[int]:
+    """The candidates by falling score, then falling out-degree, then index."""
+    nodes = np.array(instance.candidates(), dtype=np.intp)
+    degree = np.bincount(instance.graph.src, minlength=instance.n)[nodes]
+    return nodes[np.lexsort((nodes, -degree, -np.asarray(scores)[nodes]))].tolist()
 
 
 def round_tkr(relaxed_solution: LpSolution, instance: ProblemInstance) -> VaccinationSet:
@@ -25,18 +34,10 @@ def round_tkr(relaxed_solution: LpSolution, instance: ProblemInstance) -> Vaccin
     values = relaxed_solution.values
     if len(values) != n * s + n:
         raise ParameterError("solution vector does not match this instance's variable layout")
-    scores = values[n * s : n * s + n]
-    graph = instance.graph
-    k = instance.k
-    scored = [j for j in instance.candidates() if scores[j] > SCORE_EPS]
-    scored.sort(key=lambda j: (-scores[j], -graph.out_degree(j), j))
-    chosen = scored[:k]
-    if len(chosen) < k:
-        taken = set(chosen)
-        rest = [j for j in instance.candidates() if j not in taken and scores[j] <= SCORE_EPS]
-        rest.sort(key=lambda j: (-graph.out_degree(j), j))
-        chosen.extend(rest[: k - len(chosen)])
-    return VaccinationSet(frozenset(chosen))
+    scores = np.asarray(values[n * s : n * s + n])
+    # scores at or below SCORE_EPS all rank as zero, behind every scored node
+    ranked = _ranked(instance, np.where(scores > SCORE_EPS, scores, 0.0))
+    return VaccinationSet(frozenset(ranked[: instance.k]))
 
 
 def round_irp(
@@ -48,7 +49,6 @@ def round_irp(
     vaccination score (ties by out-degree, then index) and adds an I = 1
     pin before the next solve, until the budget is exhausted.
     """
-    graph = instance.graph
     chosen: list[int] = []
     for iteration in range(instance.k):
         model = build_model(instance, relaxed=True, pinned_ones=chosen)
@@ -57,15 +57,7 @@ def round_irp(
             raise RuntimeError(
                 f"iterative rounding failed at iteration {iteration}: {solution.status}"
             )
-        scores = model.i_values(solution.values)
+        ranked = _ranked(instance, model.i_values(solution.values))
         taken = set(chosen)
-        best = None
-        for j in instance.candidates():
-            if j in taken:
-                continue
-            key = (-scores[j], -graph.out_degree(j), j)
-            if best is None or key < best[0]:
-                best = (key, j)
-        assert best is not None
-        chosen.append(best[1])
+        chosen.append(next(j for j in ranked if j not in taken))
     return VaccinationSet(frozenset(chosen))

@@ -206,25 +206,34 @@ class TopologySet:
         return hash((self.topologies, self.source_graph_hash, self.seed))
 
 
-def stacked_levels(live: np.ndarray, s: int, n: int, seeds, vaccinated=()) -> np.ndarray:
-    """The BFS level of every row of a stacked layout, -1 where unreached.
+def flowgraph(
+    live: np.ndarray, s: int, n: int, seeds, vaccinated=()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reachability flowgraph of a stacked layout and the BFS level of every row.
 
     ``live`` is a ``TopologySet.stacked_edges()`` array over s topologies of
-    n nodes.  The search starts at the super-source, row s * n (level 0),
-    which feeds every seed's row in every topology (level 1).  Live edges
-    that enter a ``vaccinated`` node are dropped, so such a node is reached
-    only if it is a seed.
+    n nodes.  Row s * n is a virtual super-source (level 0) with an edge to
+    every seed's row in every topology (level 1).  Live edges that enter a
+    seed or a ``vaccinated`` node are dropped: a seed is reached from the
+    super-source alone, and a vaccinated node only if it is a seed.  Returns
+    the tails and heads of the edges whose tail is reached, live edges in
+    ``live`` order and then the super-source's, and every row's level, -1
+    where unreached.
     """
     root = s * n  # stacked_edges() keeps s * n, and so every row id here, within int32
-    seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + np.asarray(seeds, dtype=np.int32)).ravel()
+    seeds = np.asarray(seeds, dtype=np.int32)
+    seed_rows = (np.arange(s, dtype=np.int32)[:, None] * n + seeds).ravel()
     blocked = np.zeros(n, dtype=bool)
+    blocked[seeds] = True
     blocked[np.asarray(vaccinated, dtype=np.int64)] = True
     kept = ~blocked[live[:, 1] % n]
-    heads = np.concatenate([live[kept, 0], np.full(len(seed_rows), root, dtype=np.int32)])
-    tails = np.concatenate([live[kept, 1], seed_rows])
-    graph = csr_matrix((np.ones(len(heads), dtype=bool), (heads, tails)), shape=(root + 1, root + 1))
+    tail = np.concatenate([live[kept, 0], np.full(len(seed_rows), root, dtype=np.int32)])
+    head = np.concatenate([live[kept, 1], seed_rows])
+    graph = csr_matrix((np.ones(len(tail), dtype=bool), (tail, head)), shape=(root + 1, root + 1))
     dist = dijkstra(graph, indices=root, unweighted=True)
-    return np.where(np.isfinite(dist), dist, -1).astype(np.int32)
+    level = np.where(np.isfinite(dist), dist, -1).astype(np.int32)
+    reached = level[tail] >= 0
+    return tail[reached], head[reached], level
 
 
 def _check_sampling_pre(graph: Graph, model: str, s: int, seed: int) -> None:

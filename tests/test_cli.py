@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from netvax import read_graph, read_topology_set, sample_lt
-from netvax.bench import read_csv
+from netvax.bench import build_instance, read_csv
 from netvax.cli import main, parse_config
 from netvax.errors import FormatError
 
@@ -129,6 +131,18 @@ def test_gen_graph_and_topologies_round_trip(tmp_path):
     ) == 0
     ts = read_topology_set(tpath, source_graph_hash=graph.digest())
     assert ts == sample_lt(graph, 5, 3)
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_gen_graph_writes_the_graph_of_runs_first_repetition(tmp_path, seed):
+    cfg = write_config(tmp_path, CONFIG.replace("model = LT", "model = IC"))
+    gpath = tmp_path / "graph.txt"
+    override = [] if seed is None else ["--seed", str(seed)]
+    assert main(["gen-graph", "--config", str(cfg), "--out", str(gpath), *override]) == 0
+    config = parse_config(cfg)
+    if seed is not None:
+        config = replace(config, seed=seed)
+    assert read_graph(gpath) == build_instance(config, 0).graph
 
 
 def test_gen_topologies_bad_graph_file_exits_2(tmp_path):

@@ -447,6 +447,7 @@ def test_irp_objective_monotone_under_pins():
             key=lambda j: (scores[j], inst.graph.out_degree(j), -j),
         )
         chosen.append(best)
+    assert round_irp(inst).nodes == frozenset(chosen)
 
 
 def test_irp_failure_carries_iteration(monkeypatch):

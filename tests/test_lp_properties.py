@@ -1,6 +1,7 @@
 """Differential property tests: the HiGHS and simplex engines on one model,
-every engine on the reachability-pruned view against the full model, and
-branch and bound against scipy's MIP solver."""
+every engine on the reachability-pruned view against the full model,
+branch and bound against scipy's MIP solver, and top-k rounding against its
+literal two-phase loop."""
 
 from unittest.mock import patch
 
@@ -13,7 +14,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from conftest import random_instance
 
 from netvax import IC, LT, ProblemInstance, build_model, enumerate_all, generate_er, infected_on, solve, verify_solution
-from netvax.lp import ENGINES, pruned_view, solve_simplex
+from netvax.lp import ENGINES, LpSolution, pruned_view, round_tkr, solve_simplex
+from netvax.lp.rounding import SCORE_EPS
 from netvax.lp.solve import _bounds_for, _solve_relaxed
 
 
@@ -159,3 +161,21 @@ def test_branch_and_bound_matches_milp(inst, engine, data):
     if status == "optimal":
         assert sol.objective == pytest.approx(objective, abs=1e-6)
         assert verify_solution(model, sol.values) == []
+
+
+def reference_tkr(scores, inst):
+    """Top-k as two sorted lists: the scored nodes, then the zero-score fill."""
+    degree = inst.graph.out_degree
+    scored = sorted((j for j in inst.candidates() if scores[j] > SCORE_EPS), key=lambda j: (-scores[j], -degree(j), j))
+    rest = sorted((j for j in inst.candidates() if scores[j] <= SCORE_EPS), key=lambda j: (-degree(j), j))
+    return frozenset((scored + rest)[: inst.k])
+
+
+@settings(max_examples=200)
+@given(inst=instances(), data=st.data())
+def test_tkr_matches_the_literal_ranking(inst, data):
+    # few distinct scores, so ties and scores at or near SCORE_EPS are common
+    levels = st.sampled_from([-1e-12, 0.0, SCORE_EPS, 2 * SCORE_EPS, 0.5])
+    scores = data.draw(st.lists(levels, min_size=inst.n, max_size=inst.n))
+    values = (0.0,) * (len(inst.topologies) * inst.n) + tuple(scores)
+    assert round_tkr(LpSolution("optimal", values, 0.0), inst).nodes == reference_tkr(scores, inst)

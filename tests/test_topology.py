@@ -1,7 +1,10 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from netvax import (
@@ -19,6 +22,7 @@ from netvax import (
 )
 from netvax.bench import ExperimentConfig, build_instance
 from netvax.errors import CapacityError, FormatError, ModelMismatchError, ParameterError
+from netvax.topology import flowgraph
 
 
 def lt_pair_graph():
@@ -204,6 +208,35 @@ def test_sampled_frequencies_match_enumeration():
     exp = [expected[k] * len(ts) for k in keys]
     _, pvalue = stats.chisquare(observed, exp)
     assert pvalue > 0.001
+
+
+# --- flowgraph ------------------------------------------------------------
+
+
+@given(
+    model=st.sampled_from([LT, IC]),
+    n=st.integers(1, 12),
+    s=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_flowgraph_matches_networkx(model, n, s, seed, data):
+    graph = generate_er(n, 0.3, model, seed)
+    live = (sample_lt if model == LT else sample_ic)(graph, s, seed).stacked_edges()
+    seeds = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    others = [v for v in range(n) if v not in seeds]
+    vaccinated = sorted(data.draw(st.sets(st.sampled_from(others)) if others else st.just(set())))
+    tail, head, level = flowgraph(live, s, n, seeds, vaccinated)
+
+    root = s * n
+    source_edges = [(root, t * n + u) for t in range(s) for u in seeds]
+    kept = [(a, b) for a, b in live.tolist() if b % n not in seeds and b % n not in vaccinated]
+    oracle = nx.DiGraph(source_edges + kept)
+    oracle.add_nodes_from(range(root + 1))
+    dist = nx.single_source_shortest_path_length(oracle, root)
+    assert level.tolist() == [dist.get(row, -1) for row in range(root + 1)]
+    expected = [(a, b) for a, b in kept if a in dist] + source_edges
+    assert list(zip(tail.tolist(), head.tolist())) == expected
 
 
 # --- digests --------------------------------------------------------------
