@@ -14,13 +14,15 @@ too.  Two strategies supply the counts:
 * ``structural`` counts, for each candidate v, the infected nodes that v
   dominates on the reachability flowgraph, where a virtual super-source
   feeds the seeds: vaccinating v saves exactly those.  Each call answers
-  every topology at once in one batched numpy pass and keeps no cache
-  between calls.  On IC the counts come from a dominator kernel over a
-  bitset table of ``s * (n + 1) * (n // 64 + 1) * 8`` bytes.  An LT
-  realization gives each node at most one live parent, so its flowgraph is
-  a forest and its own dominator tree: a node's gain is its
-  infected-subtree size, which prefix sums over one fixed DFS preorder give
-  directly.
+  every topology at once in one batched numpy pass.  On IC the counts come
+  from a dominator kernel over a bitset table of at most ``s * (n + 1) *
+  (n // 64 + 1) * 8`` bytes.  It keeps a second, smaller table with only
+  the rows still reached under part of greedy's set, which ``gains``
+  rebuilds as that set grows; every call on a superset of that part reads
+  it and gets the same counts.  An LT realization gives each node at most
+  one live parent, so its flowgraph is a forest and its own dominator tree:
+  a node's gain is its infected-subtree size, which prefix sums over one
+  fixed DFS preorder give directly.
 
 A swap pass needs the totals of every ``(S - {v}) | {w}``: ``swap_totals(S,
 allowed)`` returns them as one (|S|, n) array, row i for the i-th node of
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -146,14 +149,17 @@ class BfsEvaluator:
         ``total(S | {v}) - total(S)``, each total reduced on its own, so the
         floats match across evaluators; -inf where v is in S or infected.
         """
-        S = set(S)
+        return self._gains(set(S))[0]
+
+    def _gains(self, S) -> tuple[np.ndarray, np.ndarray]:
+        """``gains(S)`` and the per-topology saved counts of S."""
         candidates = [v for v in range(self.n) if v not in S and v not in self._infected_set]
         saved, gain_counts = self._counts(S, candidates)
         out = np.full(self.n, -math.inf)
         out[candidates] = (
             weighted_total(gain_counts + saved[:, None], self.mu) - weighted_total(saved, self.mu)
         )
-        return out
+        return out, saved
 
     def swap_totals(self, S, allowed) -> np.ndarray:
         """Total saved of every swap ``(S - {v}) | {w}`` of S.
@@ -197,6 +203,30 @@ def _count_before(mask) -> np.ndarray:
     return out
 
 
+# ``IcDominatorEvaluator.gains`` rebuilds its compact table under S once the
+# rows that S leaves reached fall below this share of the table's rows
+_COMPACT_BELOW = 0.8
+
+
+class _DomTable(NamedTuple):
+    """The dominator kernel's rows: every (topology, node) that some seed
+    reaches with ``base`` vaccinated, plus the super-source's row.
+
+    Vaccinating more nodes only removes paths, so a row that ``base`` leaves
+    unreached stays unreached under every S that contains ``base``, and the
+    table serves all of them.
+    """
+
+    base: frozenset
+    pos: np.ndarray  # (s, n): the row of node u in topology t; -1 if it has none
+    topo: np.ndarray  # each row's topology
+    node: np.ndarray  # each row's node
+    bit: np.ndarray  # each row's node bit within its uint64 word
+    levels: list  # per BFS level: first row, end row, pred rows per slot, own-bit indices
+    widest: int  # the rows of the widest level
+    one_sweep: bool  # every edge runs to a higher level: the first sweep is final
+
+
 class IcDominatorEvaluator(BfsEvaluator):
     """Gains via dominator subtree counts on the reachability flowgraph.
 
@@ -204,34 +234,47 @@ class IcDominatorEvaluator(BfsEvaluator):
     seeds to u passes through v, i.e. v dominates u with respect to a virtual
     super-source feeding all seeds.  Each ``_counts`` call solves the
     dominator dataflow ``Dom(u) = {u} | AND of Dom(p) over predecessors p``
-    (Cooper, Harvey & Kennedy) for every topology at once, with no cache
-    between calls.  It is exact on LT too, but LT has a cheaper kernel of
-    its own; see ``LtChainEvaluator``.
+    (Cooper, Harvey & Kennedy) for every topology at once.  It is exact on
+    LT too, but LT has a cheaper kernel of its own; see ``LtChainEvaluator``.
 
     ``Dom(u)`` is a packed bitset of ``n // 64 + 1`` uint64 words, one row
-    per (topology, node) that some seed reaches when nothing is vaccinated,
-    plus the super-source's empty row.  Bit n marks "not reached", so
-    unreached and vaccinated rows are all ones and leave an AND unchanged.
-    The table takes about ``s * (n + 1) * (n // 64 + 1) * 8`` bytes (1.8 MB
-    at n=512, s=50).  Rows are ordered by the BFS level of their node, then
-    by falling in-degree, so the AND of one level's rows over their j-th
-    predecessors is one ``take`` into a prefix of the level's rows.  A level
-    sweep repeats until nothing changes, unless every predecessor lies on a
-    lower level: then the first sweep is final.
+    per (topology, node) of a ``_DomTable``, plus the super-source's empty
+    row.  Bit n marks "not reached", so unreached and vaccinated rows are all
+    ones and leave an AND unchanged.  Rows are ordered by the BFS level of
+    their node, then by falling in-degree, so the AND of one level's rows
+    over their j-th predecessors is one ``take`` into a prefix of the level's
+    rows.  A level sweep repeats until nothing changes, unless every
+    predecessor lies on a lower level: then the first sweep is final.
+
+    The evaluator keeps two tables.  ``_full`` has the rows reached when
+    nothing is vaccinated, about ``s * (n + 1) * (n // 64 + 1) * 8`` bytes
+    (1.8 MB at n=512, s=50), and serves every set.  ``_compact`` has the rows
+    reached under a vaccinated base B and serves every S that contains B,
+    with the same Dom sets on fewer rows.  Only ``gains`` moves it: greedy
+    calls it with a growing S, so a set without B starts a new run and
+    resets it to ``_full``, and once S leaves fewer than ``_COMPACT_BELOW``
+    of its rows reached it is rebuilt under S.  The swap passes never
+    rebuild; a swapped set S - {v} still reads ``_compact`` when v is not in
+    B.
     """
 
     name = "structural"
 
     def __init__(self, instance: ProblemInstance):
         super().__init__(instance)
+        self._full = self._table(frozenset())
+        self._compact = self._full
+
+    def _table(self, base: frozenset) -> _DomTable:
+        """The table of the rows that some seed reaches with ``base`` vaccinated."""
         n, s = self.n, self.s
         root = s * n
-        # a row no seed reaches with nothing vaccinated stays unreached under
-        # every S, so it gets no row in the table
-        tail, head, level = flowgraph(instance.topologies.stacked_edges(), s, n, self.infected)
+        tail, head, level = flowgraph(
+            self.instance.topologies.stacked_edges(), s, n, self.infected, vaccinated=sorted(base)
+        )
         reached = level >= 0
         # every edge runs to a higher level, as on any forest: one sweep is final
-        self._one_sweep = bool(np.all(level[tail] < level[head]))
+        one_sweep = bool(np.all(level[tail] < level[head]))
         indeg = np.bincount(head, minlength=root + 1)
         heads = np.flatnonzero(reached[:root])
         heads = heads[np.lexsort((-indeg[heads], level[heads]))]
@@ -246,28 +289,43 @@ class IcDominatorEvaluator(BfsEvaluator):
         first = np.cumsum(degree) - degree  # each head's first entry in ``tail``
         head_level = level[heads]
         bounds = np.searchsorted(head_level, np.arange(1, head_level.max(initial=0) + 2))
-        self._pos = pos[:root].reshape(s, n)  # row of (t, u); -1 if never reached
-        self._topo = heads // n
-        self._node = heads % n
-        self._bit = _bit(self._node)
+        node = heads % n
         words = n // 64 + 1
-        own_word = np.arange(rows) * words + (self._node >> 6)
+        own_word = np.arange(rows) * words + (node >> 6)
         # per level: first row, end row, the pred rows of each slot j (the
         # j-th predecessors of the level's rows of in-degree > j, a prefix of
         # them) and the flat index of each row's own bit within the level
-        self._levels = []
+        levels = []
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             slots = []
             for j in range(int(degree[lo])):
                 width = int(np.count_nonzero(degree[lo:hi] > j))
                 slots.append(tail[first[lo : lo + width] + j])
-            self._levels.append((lo, hi, slots, own_word[lo:hi] - lo * words))
-        self._widest = int(np.diff(bounds).max(initial=0))
+            levels.append((lo, hi, slots, own_word[lo:hi] - lo * words))
+        return _DomTable(
+            base=base,
+            pos=pos[:root].reshape(s, n),
+            topo=heads // n,
+            node=node,
+            bit=_bit(node),
+            levels=levels,
+            widest=int(np.diff(bounds).max(initial=0)),
+            one_sweep=one_sweep,
+        )
 
     def gains(self, S) -> np.ndarray:
-        # defined on this class, not only inherited, so that the benchmark's
-        # tracer can wrap it by name
-        return BfsEvaluator.gains(self, S)
+        # greedy is the one caller, with S growing by one node per call, so
+        # the compact table is moved here and never by a swap pass: a set
+        # without its base starts a new run on this shared evaluator, and a
+        # set that leaves few of its rows reached makes the next call's
+        # table.  The benchmark's tracer also wraps this method by name.
+        S = frozenset(S)
+        if not self._compact.base <= S:
+            self._compact = self._full
+        out, saved = self._gains(S)
+        if self.n * self.s - saved.sum() < _COMPACT_BELOW * len(self._compact.node):
+            self._compact = self._table(S)
+        return out
 
     def _counts(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
         saved, gain_counts = self._dominator_pass(S)
@@ -276,24 +334,25 @@ class IcDominatorEvaluator(BfsEvaluator):
     def _dominator_pass(self, S) -> tuple[np.ndarray, np.ndarray]:
         """Per-topology saved counts and dominated-node counts for one set S."""
         n, s = self.n, self.s
-        blocked = np.zeros(len(self._node), dtype=bool)
-        where = self._pos[:, list(S)].ravel()
+        table = self._compact if self._compact.base.issubset(S) else self._full
+        blocked = np.zeros(len(table.node), dtype=bool)
+        where = table.pos[:, list(S)].ravel()
         blocked[where[where >= 0]] = True
-        dom = self._dominator_sets(blocked)
+        dom = self._dominator_sets(table, blocked)
         reached = (dom[:, n >> 6] & _bit(n)) == 0
         depth = np.where(reached, np.bitwise_count(dom).sum(axis=1, dtype=np.int64), 0)
         r = np.flatnonzero(reached)
-        topo, node = self._topo, self._node
+        topo, node = table.topo, table.node
         # Dom(u) is a chain, so u's immediate dominator is its one dominator at
         # depth(u) - 1; per-(topology, depth) node masks pick it out
         at_depth = np.zeros((s, depth.max(initial=0) + 1, dom.shape[1]), dtype=np.uint64)
-        np.bitwise_or.at(at_depth, (topo[r], depth[r], node[r] >> 6), self._bit[r])
+        np.bitwise_or.at(at_depth, (topo[r], depth[r], node[r] >> 6), table.bit[r])
         idom_bits = at_depth[topo, np.maximum(depth - 1, 0)]
         idom_bits &= dom
         inner = np.flatnonzero(depth > 1)
         word = np.argmax((idom_bits != 0)[inner], axis=1)
         bit = np.bitwise_count(idom_bits[inner, word] - np.uint64(1))
-        idom = self._pos[topo[inner], word * 64 + bit]
+        idom = table.pos[topo[inner], word * 64 + bit]
         size = reached.astype(np.int64)
         inner_depth = depth[inner]
         for d in range(depth.max(initial=0), 1, -1):  # subtrees before their roots
@@ -305,17 +364,17 @@ class IcDominatorEvaluator(BfsEvaluator):
         saved = n - np.bincount(topo[r], minlength=s)
         return saved, gain_counts
 
-    def _dominator_sets(self, blocked) -> np.ndarray:
-        """The Dom table of every row, with the rows in ``blocked`` vaccinated."""
+    def _dominator_sets(self, table, blocked) -> np.ndarray:
+        """The Dom table of every row of ``table``, with the rows in ``blocked`` vaccinated."""
         ones = ~np.uint64(0)
         dom = np.full((len(blocked) + 1, self.n // 64 + 1), ones)
         dom[-1] = 0  # the super-source's row: reached, dominated by nothing
-        acc_buf = np.empty((self._widest, dom.shape[1]), dtype=np.uint64)
+        acc_buf = np.empty((table.widest, dom.shape[1]), dtype=np.uint64)
         part_buf = np.empty_like(acc_buf)
         changed = True
         while changed:  # Gauss-Seidel sweeps until one full sweep changes nothing
             changed = False
-            for lo, hi, slots, own in self._levels:
+            for lo, hi, slots, own in table.levels:
                 # mode="clip" writes straight into ``out`` ("raise" buffers);
                 # the indices are in range by construction
                 acc = acc_buf[: hi - lo]
@@ -324,12 +383,12 @@ class IcDominatorEvaluator(BfsEvaluator):
                     part = part_buf[: len(preds)]
                     np.take(dom, preds, axis=0, out=part, mode="clip")
                     acc[: len(preds)] &= part
-                acc.reshape(-1)[own] |= self._bit[lo:hi]
+                acc.reshape(-1)[own] |= table.bit[lo:hi]
                 acc[blocked[lo:hi]] = ones
                 changed = changed or not np.array_equal(acc, dom[lo:hi])
                 dom[lo:hi] = acc
             # with every predecessor on a lower level the first sweep is final
-            changed = changed and not self._one_sweep
+            changed = changed and not table.one_sweep
         return dom[:-1]
 
 

@@ -514,12 +514,133 @@ def test_no_dom_table_on_lt_and_no_one_sweep_on_ic_back_edge():
         inst = random_instance(seed, model=LT, n=30, p=0.2, s=5, n_infected=2, k=3)
         fast = LtChainEvaluator(inst)
         assert not isinstance(fast, IcDominatorEvaluator)
-        assert not hasattr(fast, "_levels")
-    # 0 -> 1 -> 2 -> 1: the edge 2 -> 1 runs back to a lower BFS level
-    inst = single_topology_instance(4, [(0, 1), (1, 2), (2, 1), (2, 3)], {0}, 1)
+        assert not hasattr(fast, "_full") and not hasattr(fast, "_compact")
+    # 0 -> 1 -> 2 -> 1: the edge 2 -> 1 runs back to a lower BFS level;
+    # vaccinating 4 leaves 4 of the 6 reached rows, so gains({4}) compacts
+    edges = [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4), (4, 5), (5, 4)]
+    inst = single_topology_instance(6, edges, {0}, 1)
     fast = IcDominatorEvaluator(inst)
-    assert not fast._one_sweep
+    assert not fast._full.one_sweep
     assert np.array_equal(fast.gains(set()), naive_gains(inst, set()))
+    assert fast._compact is fast._full
+    assert np.array_equal(fast.gains({4}), naive_gains(inst, {4}))
+    assert fast._compact.base == {4} and len(fast._compact.node) == 4
+    assert not fast._compact.one_sweep
+    for S in ({4}, {4, 2}, {4, 5, 3}):
+        assert np.array_equal(fast.gains(S), naive_gains(inst, S))
+
+
+def matches_fresh(inst, fast, S, rng):
+    """Assert that ``fast`` answers S bit for bit as a fresh evaluator does; return its gains.
+
+    ``gains`` comes last, because it may reset or rebuild the compact table.
+    """
+    fresh = IcDominatorEvaluator(inst)
+    S = frozenset(S)
+    ws = [w for w in inst.candidates() if w not in S]
+    assert np.array_equal(fast.totals_with(S, ws), fresh.totals_with(S, ws))
+    allowed = np.zeros((len(S), inst.n), dtype=bool)
+    rows = rng.choice(len(S), size=min(4, len(S)), replace=False)
+    allowed[rows] = rng.random((len(rows), inst.n)) < 0.5
+    assert np.array_equal(fast.swap_totals(S, allowed), fresh.swap_totals(S, allowed))
+    assert fast.per_topology_saved(S) == fresh.per_topology_saved(S)
+    got = fast.gains(S)
+    assert np.array_equal(got, fresh.gains(S))
+    return got
+
+
+def test_compacted_ic_table_matches_a_fresh_evaluator(monkeypatch):
+    # at the paper's IC size, greedy compacts the table after some 75 steps
+    cfg = ExperimentConfig(
+        model=IC, generator="waxman", n=512, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
+    )
+    inst = build_instance(cfg, 0)
+    fast = IcDominatorEvaluator(inst)
+    S = set()
+    while fast._compact is fast._full:
+        S.add(int(np.argmax(fast.gains(S))))
+    assert 0 < len(fast._compact.node) < 0.8 * len(fast._full.node)
+    # every pass names its set and then its table; S - {v} of a swap pass
+    # holds the base only when v is not in it
+    passes, tables = [], []
+    dominator_pass = IcDominatorEvaluator._dominator_pass
+    dominator_sets = IcDominatorEvaluator._dominator_sets
+
+    def spy_pass(self, S):
+        if self is fast:
+            passes.append(frozenset(S))
+        return dominator_pass(self, S)
+
+    def spy_sets(self, table, blocked):
+        if self is fast:
+            tables.append(table)
+        return dominator_sets(self, table, blocked)
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_pass", spy_pass)
+    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_sets", spy_sets)
+    rng = np.random.default_rng(0)
+    base = fast._compact.base
+    others = [v for v in inst.candidates() if v not in base]
+    supersets = [base | {int(v) for v in rng.choice(others, size=extra)} for extra in (0, 1, 3, 8)]
+    without_one = (base - {min(base)}) | {int(v) for v in rng.choice(others, size=3)}
+    for S in supersets + [without_one]:
+        compact = fast._compact
+        assert (compact.base <= S) == (S is not without_one)
+        passes.clear()
+        tables.clear()
+        matches_fresh(inst, fast, S, rng)
+        assert len(passes) == len(tables) > 0
+        for P, table in zip(passes, tables):
+            assert table is (compact if compact.base <= P else fast._full)
+        assert (tables[-1] is compact) == (S is not without_one)  # the gains pass
+
+
+@st.composite
+def cyclic_ic_instances(draw):
+    """Small IC instances whose topologies hold cycles without seeds and through a seed."""
+    n = draw(st.integers(8, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = [int(v) for v in rng.choice(n, size=draw(st.integers(1, 2)), replace=False)]
+    others = [v for v in range(n) if v not in seeds]
+    topologies = []
+    for _ in range(draw(st.integers(1, 4))):
+        edges = set(random_topology(rng, n, draw(st.sampled_from([0.05, 0.15, 0.3]))).live_edges)
+        ring = [int(v) for v in rng.choice(others, size=4, replace=False)]
+        edges |= set(zip(ring, ring[1:] + ring[:1]))
+        ring = seeds[:1] + ring[:2]
+        edges |= set(zip(ring, ring[1:] + ring[:1]))
+        topologies.append(Topology(n, sorted(edges)))
+    pairs = sorted(set().union(*(t.live_edges for t in topologies)))
+    graph = Graph(n, [(a, b, 0.5) for a, b in pairs], IC)
+    return ProblemInstance(graph, frozenset(seeds), 0, TopologySet(topologies, "", 0))
+
+
+@settings(max_examples=40)
+@given(
+    inst=st.one_of(
+        cyclic_ic_instances(),
+        st.integers(0, 2**20).map(lambda seed: enumerated_instance(seed, IC)),
+    ),
+    seed=st.integers(0, 2**20),
+)
+def test_compacted_ic_tables_match_a_fresh_evaluator_on_small_instances(inst, seed):
+    rng = np.random.default_rng(seed)
+    fast = IcDominatorEvaluator(inst)
+    cands = inst.candidates()
+    # greedy over every candidate, which compacts on the way
+    S = frozenset()
+    for _ in cands:
+        assert fast._compact.base <= S
+        S = S | {int(np.argmax(matches_fresh(inst, fast, S, rng)))}
+    # with a table under any base, sets with and without it answer as on a fresh one
+    count = int(rng.integers(len(cands) + 1))
+    base = frozenset(int(v) for v in rng.choice(cands, size=count, replace=False))
+    for size in range(3):
+        fast._compact = fast._table(base)
+        extra = rng.choice(cands, size=min(size, len(cands)), replace=False)
+        matches_fresh(inst, fast, base | {int(v) for v in extra}, rng)
+        fast._compact = fast._table(base)
+        matches_fresh(inst, fast, frozenset(int(v) for v in extra), rng)
 
 
 @settings(max_examples=60)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,53 @@ def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
         search(inst, start, evaluation="structural")
         assert calls["saved_one"] == 2 * len(inst.topologies), search.__name__
     assert calls["dominator"] > 0
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Calls of ``IcDominatorEvaluator._table``: its full table and every compact one."""
+    calls = []
+    table = IcDominatorEvaluator._table
+
+    def counted(self, base):
+        calls.append(base)
+        return table(self, base)
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_table", counted)
+    return calls
+
+
+def test_second_greedy_run_on_a_shared_evaluator_resets_its_compact_table(table_builds):
+    inst = replace(ic_waxman_instance(1), k=20)
+    greedy_trajectory(inst, [5, 20], evaluation="structural")
+    shared = make_evaluator(inst, "structural")
+    assert shared._compact is not shared._full
+    del table_builds[:]
+    again = greedy(replace(inst, k=12), evaluation="structural")
+    assert make_evaluator(inst, "structural") is shared
+    rebuilt = table_builds[:]
+    # an equal copy of the topology set misses the factory's slot: a fresh evaluator
+    ts = inst.topologies
+    copy = replace(inst, k=12, topologies=TopologySet(ts.topologies, ts.source_graph_hash, ts.seed))
+    del table_builds[:]
+    fresh = greedy(copy, evaluation="structural")
+    assert make_evaluator(copy, "structural") is not shared
+    assert again.vaccination == fresh.vaccination
+    assert again.avg_saved == fresh.avg_saved
+    assert again.per_topology_saved == fresh.per_topology_saved
+    # the same compactions as a fresh run, after the fresh run's full table
+    assert rebuilt and [frozenset()] + rebuilt == table_builds
+
+
+def test_ic_swap_searches_build_no_table_after_greedy(table_builds):
+    for seed in range(3):
+        inst = replace(ic_waxman_instance(seed), k=12)
+        start = greedy(inst, evaluation="structural").vaccination
+        assert make_evaluator(inst, "structural")._compact.base
+        del table_builds[:]
+        local_search(inst, start, evaluation="structural")
+        hill_climb(inst, start, evaluation="structural")
+        assert table_builds == []
 
 
 # --- swap passes: the matrix scan and its kernel calls ------------------------
