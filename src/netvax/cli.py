@@ -73,18 +73,12 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_list(text: str, kind: type) -> list:
+    """A comma-separated list of ``kind`` values; empty items are skipped."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ParameterError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"bad integer list {text!r}") from exc
+        raise ParameterError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -97,7 +91,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_budget(args) -> int:
     config = _load_config(args)
-    budgets = _parse_float_list(args.budgets)
+    budgets = _parse_list(args.budgets, float)
     if not budgets or any(not (0.0 < b <= 1.0) for b in budgets):
         raise ParameterError("budgets must be fractions in (0, 1]")
     rows = sweep_budget(config, budgets)
@@ -118,7 +112,7 @@ def _print_stats(stats: list[SampleDispersion], out_path) -> None:
 
 def _cmd_sweep_samples(args) -> int:
     config = _load_config(args)
-    counts = _parse_int_list(args.samples)
+    counts = _parse_list(args.samples, int)
     if not counts:
         raise ParameterError("at least one sample count is required")
     rows, stats = sweep_samples(config, counts)
@@ -153,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--out", required=True, help="output path: the CSV, or the graph file of gen-graph")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("run", help="run the configured experiment")
@@ -172,9 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_samples)
 
     p = sub.add_parser("gen-graph", help="generate a graph file from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    common(p)
     p.set_defaults(func=_cmd_gen_graph)
 
     p = sub.add_parser("gen-topologies", help="sample a topology-set file from a graph file")

@@ -58,7 +58,7 @@ from scipy.sparse.csgraph import depth_first_order
 
 from .errors import ContractViolationError, ModelMismatchError, ParameterError
 from .graph import IC, LT
-from .spread import ProblemInstance, weighted_total
+from .spread import ProblemInstance, checked_nodes, weighted_total
 from .topology import flowgraph
 
 
@@ -139,7 +139,14 @@ class BfsEvaluator:
         return saved, with_each - saved[:, None]
 
     def totals_with(self, base, candidates) -> np.ndarray:
-        """Total saved of ``base | {w}`` for each candidate w."""
+        """Total saved of ``base | {w}`` for each candidate w.
+
+        ``base`` and every candidate must be nodes in 0..n-1 that are not
+        infected; anything else is a ``ContractViolationError``.
+        """
+        base = checked_nodes(base, self.n, self._infected_set)
+        candidates = list(candidates)
+        checked_nodes(candidates, self.n, self._infected_set)
         saved, gain_counts = self._counts(base, candidates)
         return weighted_total(gain_counts + saved[:, None], self.mu)
 
@@ -167,7 +174,8 @@ class BfsEvaluator:
         Row i belongs to the i-th node v of ``sorted(S)``, column w to the
         replacement.  ``allowed`` is a boolean array of that (|S|, n) shape;
         an entry is -inf where it is false, or where w is in S or infected.
-        One ``totals_with(S - {v}, ...)`` call per v.
+        S is checked as ``totals_with`` checks ``base``.  One
+        ``totals_with(S - {v}, ...)`` call per v.
         """
         S = set(S)
         nodes = sorted(S)
@@ -181,6 +189,7 @@ class BfsEvaluator:
 
     def _allowed_swaps(self, nodes, allowed) -> np.ndarray:
         """A checked copy of ``allowed`` with the columns of S and the infected set cleared."""
+        checked_nodes(nodes, self.n, self._infected_set)
         allowed = np.array(allowed, dtype=bool)
         if allowed.shape != (len(nodes), self.n):
             raise ContractViolationError(
@@ -224,7 +233,6 @@ class _DomTable(NamedTuple):
     bit: np.ndarray  # each row's node bit within its uint64 word
     levels: list  # per BFS level: first row, end row, pred rows per slot, own-bit indices
     widest: int  # the rows of the widest level
-    one_sweep: bool  # every edge runs to a higher level: the first sweep is final
 
 
 class IcDominatorEvaluator(BfsEvaluator):
@@ -243,8 +251,7 @@ class IcDominatorEvaluator(BfsEvaluator):
     ones and leave an AND unchanged.  Rows are ordered by the BFS level of
     their node, then by falling in-degree, so the AND of one level's rows
     over their j-th predecessors is one ``take`` into a prefix of the level's
-    rows.  A level sweep repeats until nothing changes, unless every
-    predecessor lies on a lower level: then the first sweep is final.
+    rows.  Level sweeps repeat until a full sweep changes nothing.
 
     The evaluator keeps two tables.  ``_full`` has the rows reached when
     nothing is vaccinated, about ``s * (n + 1) * (n // 64 + 1) * 8`` bytes
@@ -273,8 +280,6 @@ class IcDominatorEvaluator(BfsEvaluator):
             self.instance.topologies.stacked_edges(), s, n, self.infected, vaccinated=sorted(base)
         )
         reached = level >= 0
-        # every edge runs to a higher level, as on any forest: one sweep is final
-        one_sweep = bool(np.all(level[tail] < level[head]))
         indeg = np.bincount(head, minlength=root + 1)
         heads = np.flatnonzero(reached[:root])
         heads = heads[np.lexsort((-indeg[heads], level[heads]))]
@@ -310,7 +315,6 @@ class IcDominatorEvaluator(BfsEvaluator):
             bit=_bit(node),
             levels=levels,
             widest=int(np.diff(bounds).max(initial=0)),
-            one_sweep=one_sweep,
         )
 
     def gains(self, S) -> np.ndarray:
@@ -387,8 +391,6 @@ class IcDominatorEvaluator(BfsEvaluator):
                 acc[blocked[lo:hi]] = ones
                 changed = changed or not np.array_equal(acc, dom[lo:hi])
                 dom[lo:hi] = acc
-            # with every predecessor on a lower level the first sweep is final
-            changed = changed and not table.one_sweep
         return dom[:-1]
 
 

@@ -194,9 +194,12 @@ def pruned_view(model: LpModel, vaccinated: Iterable[int] = ()) -> tuple[np.ndar
     return cols, rows
 
 
-def verify_solution(
-    model: LpModel, values, con_tol: float = 1e-6, bound_tol: float = 1e-9
-) -> list[str]:
+# ``verify_solution``'s slack on a row and on a variable bound
+_CON_TOL = 1e-6
+_BOUND_TOL = 1e-9
+
+
+def verify_solution(model: LpModel, values) -> list[str]:
     """Residual feasibility check, independent of whichever solver produced values."""
     values = np.asarray(values, dtype=float)
     if values.shape != (model.num_vars,):
@@ -205,7 +208,7 @@ def verify_solution(
         f"{model.var_name(idx)} = {float(values[idx])!r} is not finite"
         for idx in np.flatnonzero(~np.isfinite(values))
     ]
-    outside = (values < model.lower - bound_tol) | (values > model.upper + bound_tol)
+    outside = (values < model.lower - _BOUND_TOL) | (values > model.upper + _BOUND_TOL)
     problems.extend(
         f"{model.var_name(idx)} = {float(values[idx])!r} outside [{model.lower[idx]}, {model.upper[idx]}]"
         for idx in np.flatnonzero(outside)
@@ -214,7 +217,7 @@ def verify_solution(
     excess = np.where(model.eq, np.abs(lhs - model.rhs), lhs - model.rhs)
     problems.extend(
         f"row {r}: {float(lhs[r])!r} {'!=' if model.eq[r] else '>'} {float(model.rhs[r])!r}"
-        for r in np.flatnonzero(excess > con_tol)
+        for r in np.flatnonzero(excess > _CON_TOL)
     )
     return problems
 

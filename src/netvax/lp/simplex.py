@@ -2,8 +2,9 @@
 
 Dense tableau, Bland's anti-cycling rule, nonbasic variables allowed at
 either bound.  Intended for desk-scale models and as an independent
-cross-check of the default HiGHS engine; the iteration cap turns runaway
-instances into a capacity status instead of a hang.
+cross-check of the default HiGHS engine.  ``_MAX_ITER`` caps the pivots of
+a solve, which turns a runaway instance into a ``capacity`` status instead
+of a hang.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from ..errors import ParameterError
 
 _TOL = 1e-9
 _FEAS_TOL = 1e-7
+_MAX_ITER = 200_000
 
 _AT_LO, _AT_UP, _BASIC = 0, 1, 2
 
@@ -29,15 +31,7 @@ class SimplexResult:
     iterations: int
 
 
-def solve_simplex(
-    c,
-    A,
-    rhs,
-    eq,
-    lower,
-    upper,
-    max_iter: int = 200_000,
-) -> SimplexResult:
+def solve_simplex(c, A, rhs, eq, lower, upper) -> SimplexResult:
     """Minimize ``c @ x`` subject to ``A[r] @ x == rhs[r]`` where ``eq[r]``,
     ``A[r] @ x <= rhs[r]`` elsewhere, and ``lower <= x <= upper``.
 
@@ -99,7 +93,7 @@ def solve_simplex(
     def run_phase(cost: np.ndarray) -> str:
         nonlocal iterations, xB
         while True:
-            if iterations > max_iter:
+            if iterations > _MAX_ITER:
                 return "capacity"
             z = reduced_costs(cost)
             enter = -1

@@ -104,6 +104,16 @@ def test_sweep_budget_bad_fraction_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, text, kind",
+    [("sweep-budget", "--budgets", "0.1,x", "float"), ("sweep-samples", "--samples", "4,8.5", "int")],
+)
+def test_sweep_list_that_does_not_parse_exits_2(tmp_path, capsys, command, flag, text, kind):
+    cfg = write_config(tmp_path)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv"), flag, text]) == 2
+    assert f"bad {kind} list {text!r}" in capsys.readouterr().err
+
+
 def test_sweep_samples_cli(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "samples.csv"

@@ -211,6 +211,31 @@ def test_swap_mask_of_the_wrong_shape_is_a_contract_violation(model, evaluation)
             evaluator.swap_totals(S, np.ones(shape, dtype=bool))
 
 
+@pytest.mark.parametrize("evaluation", ["bfs", "structural"])
+@pytest.mark.parametrize("model", [LT, IC])
+def test_totals_with_and_swap_totals_reject_infected_and_out_of_range_nodes(model, evaluation):
+    cfg = ExperimentConfig(
+        model=model, generator="waxman", n=20, centers=2, samples=4, alpha=0.3, beta=0.5, seed=1
+    )
+    inst = build_instance(cfg, 0)
+    assert inst.infected == {11, 17}
+    evaluator = make_evaluator(inst, evaluation)
+    w = inst.candidates()[0]
+    assert evaluator.totals_with(set(), [w])[0] == evaluator.total_saved({w})
+    for base, candidates in (
+        (set(), [11]),
+        (set(), [-1]),
+        (set(), [inst.n]),
+        ({17}, [w]),
+        ({-1}, [w]),
+    ):
+        with pytest.raises(ContractViolationError):
+            evaluator.totals_with(base, candidates)
+    for S in ([w, 17], [w, -1], [w, inst.n]):
+        with pytest.raises(ContractViolationError):
+            evaluator.swap_totals(S, np.ones((2, inst.n), dtype=bool))
+
+
 def nested_pair(topo, seeds, rng):
     """A live edge (a, b) that the seeds reach, neither end a seed.
 
@@ -520,12 +545,10 @@ def test_no_dom_table_on_lt_and_no_one_sweep_on_ic_back_edge():
     edges = [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4), (4, 5), (5, 4)]
     inst = single_topology_instance(6, edges, {0}, 1)
     fast = IcDominatorEvaluator(inst)
-    assert not fast._full.one_sweep
     assert np.array_equal(fast.gains(set()), naive_gains(inst, set()))
     assert fast._compact is fast._full
     assert np.array_equal(fast.gains({4}), naive_gains(inst, {4}))
     assert fast._compact.base == {4} and len(fast._compact.node) == 4
-    assert not fast._compact.one_sweep
     for S in ({4}, {4, 2}, {4, 5, 3}):
         assert np.array_equal(fast.gains(S), naive_gains(inst, S))
 

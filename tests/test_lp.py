@@ -29,6 +29,7 @@ from netvax import (
 from netvax.errors import ParameterError
 from netvax.generators import generate_er
 from netvax.lp.model import LpSolution, pruned_view
+from netvax.lp.simplex import solve_simplex
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "lp"
 
@@ -253,6 +254,16 @@ def test_gap_instance_solved_exactly():
 def test_node_cap_reports_capacity():
     sol = solve(build_model(gap_instance(), relaxed=False), node_cap=0)
     assert sol.status == "capacity"
+
+
+@pytest.mark.parametrize("relaxed", [True, False])
+def test_simplex_iteration_cap_reports_capacity(relaxed, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("netvax.lp.simplex"), "_MAX_ITER", 1)
+    model = build_model(gap_instance(), relaxed=relaxed)
+    res = solve_simplex(model.objective, model.A, model.rhs, model.eq, model.lower, model.upper)
+    assert (res.status, res.iterations) == ("capacity", 2)
+    sol = solve(model, engine="simplex")
+    assert (sol.status, sol.values) == ("capacity", ())
 
 
 @pytest.mark.parametrize("engine", ["highs", "simplex"])
