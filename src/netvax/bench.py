@@ -168,8 +168,8 @@ def _budget(fraction: float, n: int, infected_count: int) -> int:
     return min(round_half_up(fraction * n), n - infected_count)
 
 
-def build_instance(config: ExperimentConfig, rep: int) -> ProblemInstance:
-    """Graph, infected seeds, budget, and topology samples for one repetition."""
+def _draw_problem(config: ExperimentConfig, rep: int) -> tuple[Graph, frozenset[int], int]:
+    """Graph, infected seeds and budget k of repetition ``rep``."""
     graph = build_graph(config, rep)
     n = graph.n
     if n == 0:
@@ -179,11 +179,19 @@ def build_instance(config: ExperimentConfig, rep: int) -> ProblemInstance:
     infected = frozenset(
         int(v) for v in infected_rng.choice(n, size=i_count, replace=False)
     )
-    k = _budget(config.budget_fraction, n, i_count)
-    topo_seed = substream_seed(config.seed, rep, _TOPO)
+    return graph, infected, _budget(config.budget_fraction, n, i_count)
+
+
+def _draw_topologies(config: ExperimentConfig, graph: Graph, s: int, rep: int):
+    """``s`` topologies of ``graph`` from repetition ``rep``'s topology substream."""
     sampler = sample_lt if config.model == LT else sample_ic
-    topologies = sampler(graph, config.samples, topo_seed)
-    return ProblemInstance(graph, infected, k, topologies)
+    return sampler(graph, s, substream_seed(config.seed, rep, _TOPO))
+
+
+def build_instance(config: ExperimentConfig, rep: int) -> ProblemInstance:
+    """Graph, infected seeds, budget, and topology samples for one repetition."""
+    graph, infected, k = _draw_problem(config, rep)
+    return ProblemInstance(graph, infected, k, _draw_topologies(config, graph, config.samples, rep))
 
 
 def _row(config, instance, rep, algorithm, saved, wall, status):
@@ -298,15 +306,11 @@ def sweep_samples(
     counts = [int(s) for s in sample_counts]
     if any(s < 1 for s in counts):
         raise ParameterError("sample counts must be positive")
-    base = build_instance(config, 0)
-    graph, infected, k = base.graph, base.infected, base.k
-    sampler = sample_lt if config.model == LT else sample_ic
+    graph, infected, k = _draw_problem(config, 0)
     rows: list[ResultRow] = []
     for execution in range(config.repetitions):
-        topo_seed = substream_seed(config.seed, execution, _TOPO)
         for s in counts:
-            topologies = sampler(graph, s, topo_seed)
-            instance = ProblemInstance(graph, infected, k, topologies)
+            instance = ProblemInstance(graph, infected, k, _draw_topologies(config, graph, s, execution))
             rows.extend(_rows([replace(config, samples=s)], instance, execution)[0])
     rows.sort(key=lambda r: (r.s, r.rep, r.algorithm))
     stats = []

@@ -7,6 +7,9 @@ and holds its edges once, as read-only arrays in the given order; the
 per-node adjacency (by source and by destination) is built from them on
 first use, after which forward traversal and incoming-edge queries are both
 O(degree).
+
+On disk a graph is a ``graph`` header, then ``coord`` and ``edge`` lines, in
+the record grammar of ``util.records``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .util import fmt_float, reject_extra_fields, repeats, text_lines
+from .util import fmt_float, records, repeats
 
 LT = "LT"
 IC = "IC"
@@ -28,8 +31,8 @@ MODELS = (LT, IC)
 # land arbitrarily close to 1, so "strictly less than 1" carries a tolerance.
 LT_INCOMING_CAP = 1.0 - 1e-9
 
-# Fields after the record name, per record kind of the graph file.
-_RECORD_FIELDS = {"graph": 2, "coord": 3, "edge": 3}
+# The graph file's records: the converters of their fields, none optional.
+_RECORDS = {"graph": ((int, str), 0), "coord": ((int, float, float), 0), "edge": ((int, int, float), 0)}
 
 
 @dataclass(frozen=True)
@@ -241,38 +244,29 @@ def write_graph(graph: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Parse the line-oriented graph format written by write_graph."""
-    n = None
-    model = None
+    """Parse the line-oriented graph format written by write_graph.
+
+    Beyond the record grammar: one header, and coord lines, if any, give
+    every node once.  What ``Graph`` rejects is a FormatError too.
+    """
+    header = None
     coords: dict[int, tuple[float, float]] = {}
     edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(text_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            reject_extra_fields(parts, _RECORD_FIELDS, lineno)
-            if parts[0] == "graph":
-                if n is not None:
-                    raise FormatError(f"line {lineno}: a second 'graph' header")
-                n = int(parts[1])
-                model = parts[2]
-            elif parts[0] == "coord":
-                node = int(parts[1])
-                if node in coords:
-                    raise FormatError(f"line {lineno}: coord for node {node} given twice")
-                coords[node] = (float(parts[2]), float(parts[3]))
-            elif parts[0] == "edge":
-                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-            else:
-                raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {lineno}: cannot parse {line!r}") from exc
-    if n is None or model is None:
+    for lineno, kind, values in records(path, _RECORDS):
+        if kind == "graph":
+            if header is not None:
+                raise FormatError(f"line {lineno}: a second 'graph' header")
+            header = values
+        elif kind == "coord":
+            node, x, y = values
+            if node in coords:
+                raise FormatError(f"line {lineno}: coord for node {node} given twice")
+            coords[node] = (x, y)
+        else:
+            edges.append(values)
+    if header is None:
         raise FormatError("missing 'graph <n> <model>' header line")
+    n, model = header
     coord_list = None
     if coords:
         if set(coords) != set(range(n)):

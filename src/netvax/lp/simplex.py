@@ -93,8 +93,6 @@ def solve_simplex(c, A, rhs, eq, lower, upper) -> SimplexResult:
     def run_phase(cost: np.ndarray) -> str:
         nonlocal iterations, xB
         while True:
-            if iterations > _MAX_ITER:
-                return "capacity"
             z = reduced_costs(cost)
             enter = -1
             for col in range(total):
@@ -108,6 +106,8 @@ def solve_simplex(c, A, rhs, eq, lower, upper) -> SimplexResult:
                     break
             if enter < 0:
                 return "optimal"
+            if iterations >= _MAX_ITER:
+                return "capacity"
             iterations += 1
             from_up = status[enter] == _AT_UP
             sgn = 1.0 if from_up else -1.0  # xB moves by sgn * t * column

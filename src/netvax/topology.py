@@ -7,6 +7,9 @@ node; IC realizations keep each edge independently with its probability.
 Topology t draws from ``substream(seed, t)``, so it is the same for any
 sample count above t, and sets built at different sample counts share
 prefixes.
+
+On disk a set is a ``toposet`` header, then per topology a ``topo`` line and
+its ``e`` lines, in the record grammar of ``util.records``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import CapacityError, FormatError, ModelMismatchError, ParameterError
 from .graph import IC, LT, Graph, validate
-from .util import first_repeat, fmt_float, reject_extra_fields, substream, text_lines
+from .util import first_repeat, fmt_float, records, substream
 
 # Enumeration guards: IC is exponential in the edge count, LT in the product
 # of per-node (indegree + 1) choices.
@@ -32,9 +35,9 @@ LT_ENUM_MAX_CHOICES = 2**20
 # as t * n + u, so s * n must stay within int32.
 _INT32_MAX = np.iinfo(np.int32).max
 
-# Fields after the record name, per record kind of the topology file; a
-# 'topo' line carries its mu only when the set was enumerated.
-_RECORD_FIELDS = {"toposet": 3, "topo": 2, "e": 2}
+# The topology file's records: the converters of their fields, and how many
+# may be left out.  A 'topo' line carries its mu only when the set was enumerated.
+_RECORDS = {"toposet": ((int, int, int), 0), "topo": ((int, float), 1), "e": ((int, int), 0)}
 
 
 class Topology:
@@ -250,15 +253,15 @@ def _check_sampling_pre(graph: Graph, model: str, s: int, seed: int) -> None:
         raise ParameterError(f"graph fails validation: {report.violations[0]}")
 
 
-def _lt_choices(graph: Graph) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+def _lt_choices(graph: Graph) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
     """The incoming edges of every node, grouped by head and ascending by source.
 
     Returns the edges as int32 (src, dst) rows in that order, the index of each
     edge's head among the nodes with incoming edges, the number of such
-    nodes, and each edge's running weight sum within its head before and
-    after its own weight.  A running sum adds the weights one after another,
-    as ``acc += w`` does: heads whose in-degrees share a power of two form one
-    zero-padded matrix for ``np.cumsum``, so padding stays below the edge count.
+    nodes, each edge's running weight sum within its head before and after
+    its own weight, and its weight.  A running sum adds the weights one after
+    another, as ``acc += w`` does: heads whose in-degrees share a power of two
+    form one zero-padded matrix for ``np.cumsum``, so padding stays below the edge count.
     """
     order = np.lexsort((graph.value, graph.src, graph.dst))
     dst, weights = graph.dst[order], graph.value[order]
@@ -277,7 +280,7 @@ def _lt_choices(graph: Graph) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, 
     before[1:] = after[:-1]
     before[first] = 0.0
     pairs = np.column_stack((graph.src[order], dst)).astype(np.int32)
-    return pairs, head, len(first), before, after
+    return pairs, head, len(first), before, after, weights
 
 
 def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
@@ -294,7 +297,7 @@ def sample_lt(graph: Graph, s: int, seed: int) -> TopologySet:
     in ``sample_ic``.
     """
     _check_sampling_pre(graph, LT, s, seed)
-    pairs, head, n_heads, before, after = _lt_choices(graph)
+    pairs, head, n_heads, before, after, _ = _lt_choices(graph)
     topologies = []
     for t in range(s):
         u = substream(seed, t).random(n_heads)[head]
@@ -365,28 +368,24 @@ def _enumerate_ic(graph: Graph) -> TopologySet:
 
 
 def _enumerate_lt(graph: Graph) -> TopologySet:
+    pairs, head, n_heads, _, after, weights = _lt_choices(graph)
+    ends = np.cumsum(np.bincount(head, minlength=n_heads)).tolist()
     total_choices = 1
-    for j in range(graph.n):
-        total_choices *= len(graph.in_neighbors(j)) + 1
+    for a, b in zip([0, *ends], ends):
+        total_choices *= b - a + 1
         if total_choices > LT_ENUM_MAX_CHOICES:
             raise CapacityError(
                 f"LT enumeration exceeds {LT_ENUM_MAX_CHOICES} per-node choice combinations"
             )
-    # Per-node options: each incoming edge with its weight, or none with the
-    # leftover probability.  Nodes without incoming edges contribute factor 1.
+    # Per-node options, in sample_lt's order: each incoming edge with positive
+    # weight, then none with the leftover probability when that is positive.
+    # Nodes without incoming edges contribute factor 1.
+    edges, weights, after = list(map(tuple, pairs.tolist())), weights.tolist(), after.tolist()
     options = []
-    for j in range(graph.n):
-        incoming = graph.in_neighbors(j)
-        if not incoming:
-            continue
-        opts: list[tuple[tuple[int, int] | None, float]] = []
-        total = 0.0
-        for src, w in incoming:
-            total += w
-            if w > 0.0:
-                opts.append(((src, j), w))
-        if 1.0 - total > 0.0:
-            opts.append((None, 1.0 - total))
+    for a, b in zip([0, *ends], ends):
+        opts = [(edges[i], weights[i]) for i in range(a, b) if weights[i] > 0.0]
+        if 1.0 - after[b - 1] > 0.0:
+            opts.append((None, 1.0 - after[b - 1]))
         options.append(opts)
     topologies = [Topology(graph.n, sorted(live), mu=mu) for live, mu in _combinations(options)]
     return TopologySet(topologies, graph, seed=0)
@@ -398,66 +397,42 @@ def write_topology_set(ts: TopologySet, path) -> None:
 
 
 def read_topology_set(path, source_graph_hash: str = "") -> TopologySet:
-    """Parse the text format written by write_topology_set."""
-    n = None
-    expected = None
-    seed = 0
-    topologies: list[Topology] = []
-    edges: list[tuple[int, int]] = []
-    mu: float | None = None
-    started = False
-    topo_line = 0
+    """Parse the text format written by write_topology_set.
 
-    def flush():
+    Beyond the record grammar: one header with n >= 0, ``topo`` blocks
+    numbered from 0, as many as the header promises.  What ``Topology``
+    rejects is a FormatError naming the block's ``topo`` line.
+    """
+    header = None
+    blocks: list[tuple[int, float | None, list]] = []  # (topo line, mu, live edges)
+    for lineno, kind, values in records(path, _RECORDS):
+        if kind == "toposet":
+            if header is not None:
+                raise FormatError(f"line {lineno}: a second 'toposet' header")
+            if values[0] < 0:
+                raise FormatError(f"line {lineno}: negative node count {values[0]}")
+            header = values
+        elif kind == "topo":
+            if header is None:
+                raise FormatError(f"line {lineno}: 'topo' before header")
+            index, mu = values
+            if index != len(blocks):
+                raise FormatError(f"line {lineno}: topology index {index}, expected {len(blocks)}")
+            blocks.append((lineno, mu, []))
+        else:
+            if not blocks:
+                raise FormatError(f"line {lineno}: 'e' before the first 'topo'")
+            blocks[-1][2].append(values)
+    if header is None:
+        raise FormatError("missing 'toposet <n> <s> <seed>' header line")
+    n, expected, seed = header
+    topologies = []
+    for index, (lineno, mu, edges) in enumerate(blocks):
         try:
             topologies.append(Topology(n, edges, mu=mu))
         except (IndexError, ParameterError) as exc:
-            raise FormatError(f"line {topo_line}: topology {len(topologies)}: {exc}") from exc
-
-    for lineno, raw in enumerate(text_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            reject_extra_fields(parts, _RECORD_FIELDS, lineno)
-            if parts[0] == "toposet":
-                if n is not None:
-                    raise FormatError(f"line {lineno}: a second 'toposet' header")
-                n = int(parts[1])
-                if n < 0:
-                    raise FormatError(f"line {lineno}: negative node count {n}")
-                expected = int(parts[2])
-                seed = int(parts[3])
-            elif parts[0] == "topo":
-                if n is None:
-                    raise FormatError(f"line {lineno}: 'topo' before header")
-                if started:
-                    flush()
-                index = int(parts[1])
-                if index != len(topologies):
-                    raise FormatError(
-                        f"line {lineno}: topology index {index}, expected {len(topologies)}"
-                    )
-                started = True
-                topo_line = lineno
-                edges = []
-                mu = float(parts[2]) if len(parts) > 2 else None
-            elif parts[0] == "e":
-                if not started:
-                    raise FormatError(f"line {lineno}: 'e' before the first 'topo'")
-                edges.append((int(parts[1]), int(parts[2])))
-            else:
-                raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {lineno}: cannot parse {line!r}") from exc
-    if n is None:
-        raise FormatError("missing 'toposet <n> <s> <seed>' header line")
-    if started:
-        flush()
-    if expected is not None and expected != len(topologies):
+            raise FormatError(f"line {lineno}: topology {index}: {exc}") from exc
+    if expected != len(topologies):
         raise FormatError(f"header promises {expected} topologies, found {len(topologies)}")
     try:
         return TopologySet(topologies, source_graph_hash, seed)

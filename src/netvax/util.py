@@ -52,14 +52,6 @@ def fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def reject_extra_fields(parts: list[str], most: dict[str, int], lineno: int) -> None:
-    """A record line with more fields than its kind takes (``most``) is a FormatError."""
-    limit = most.get(parts[0])
-    if limit is not None and len(parts) - 1 > limit:
-        extra = " ".join(parts[limit + 1 :])
-        raise FormatError(f"line {lineno}: unexpected field(s) {extra!r} after a {parts[0]!r} record")
-
-
 def text_lines(path) -> list[str]:
     """The lines of a UTF-8 text file; a byte that is not UTF-8 raises FormatError."""
     try:
@@ -67,3 +59,34 @@ def text_lines(path) -> list[str]:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def records(path, fields: dict[str, tuple[tuple, int]]):
+    """Yield ``(lineno, kind, values)`` for each record line of a text file.
+
+    A record line is a kind followed by whitespace-separated fields; blank
+    lines and lines whose first field starts with ``#`` are skipped.
+    ``fields[kind]`` is ``(converters, optional)``: one converter per field,
+    the last ``optional`` of which may be left out and then read as None.
+    An unknown kind, an extra or missing field, and a field its converter
+    rejects each raise a FormatError naming the line.
+    """
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        kind, *given = line.split()
+        if kind not in fields:
+            raise FormatError(f"line {lineno}: unknown record {kind!r}")
+        converters, optional = fields[kind]
+        missing = len(converters) - len(given)
+        if missing < 0:
+            extra = " ".join(given[len(converters) :])
+            raise FormatError(f"line {lineno}: unexpected field(s) {extra!r} after a {kind!r} record")
+        try:
+            if missing > optional:
+                raise ValueError(f"{missing} field(s) missing")
+            values = tuple(convert(field) for convert, field in zip(converters, given))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: cannot parse {line!r}") from exc
+        yield lineno, kind, values + (None,) * missing

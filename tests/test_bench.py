@@ -5,7 +5,7 @@ import pytest
 
 from conftest import tiny_config
 
-from netvax import IC, TopologySet
+from netvax import IC, LT, TopologySet
 from netvax.bench import (
     CSV_FIELDS,
     ResultRow,
@@ -149,14 +149,16 @@ def test_budget_sweep_rows_equal_separate_runs(calls, overrides):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Arguments of every call to the harness's instance builder, greedy entry points and algorithm runner."""
+    """Arguments of every call to the harness's instance and graph builders, samplers,
+    greedy entry points and algorithm runner."""
     import netvax.bench as bench
     import netvax.heuristics as heuristics
 
-    calls = {"build_instance": [], "greedy_trajectory": [], "greedy": [], "run_algorithms": []}
+    calls = {}
 
     def counting(module, name):
         original = getattr(module, name)
+        calls[name] = []
 
         def wrapper(*args, **kwargs):
             calls[name].append(args)
@@ -165,6 +167,9 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(bench, "build_instance")
+    counting(bench, "build_graph")
+    counting(bench, "sample_lt")
+    counting(bench, "sample_ic")
     counting(bench, "greedy_trajectory")
     counting(bench, "run_algorithms")
     counting(heuristics, "greedy")  # the harness has no greedy of its own to patch
@@ -189,10 +194,21 @@ def test_sample_sweep_runs_one_greedy_pass_per_instance(calls):
     cfg = tiny_config(n=20, algorithms=("greedy", "ls", "hc"), repetitions=2)
     rows, _ = sweep_samples(cfg, [3, 5, 4])
     assert len(rows) == 2 * 3 * 3
-    assert len(calls["build_instance"]) == 1
+    assert len(calls["build_graph"]) == 1
     assert calls["greedy"] == []
     passes = [(len(instance.topologies), ks) for instance, ks, _ in calls["greedy_trajectory"]]
     assert passes == [(s, [2]) for _ in range(2) for s in (3, 5, 4)]
+
+
+@pytest.mark.parametrize("model", [LT, IC])
+def test_sample_sweep_samples_only_the_sets_it_runs(calls, model):
+    cfg = tiny_config(model=model, samples=40, repetitions=2)
+    sweep_samples(cfg, [5, 10])
+    drawn = calls["sample_lt" if model == LT else "sample_ic"]
+    assert [s for _, s, _ in drawn] == [5, 10, 5, 10]
+    first, second = {seed for _, _, seed in drawn[:2]}, {seed for _, _, seed in drawn[2:]}
+    assert len(first) == len(second) == 1 and first != second
+    assert len({id(graph) for graph, _, _ in drawn}) == 1
 
 
 def test_harness_serializes_no_topology_set(monkeypatch):

@@ -2,7 +2,9 @@
 
 The corruption tests flip, insert or delete bytes of valid files: a reader
 either reads the result or raises its documented error, and the CLI exits 0
-or 2, never with a traceback.
+or 2, never with a traceback.  The record-fault test breaks one line of a
+valid file in one of the ways the shared record grammar rejects, and the
+reader must name that line.
 """
 
 import numpy as np
@@ -142,6 +144,51 @@ def test_corrupted_topology_file_raises_only_format_error(scratch, ts, data):
         read_topology_set(path)
     except FormatError:
         pass
+
+
+# Record kinds whose fields are all required, and the numeric fields of each kind.
+REQUIRED_ONLY = {"edge", "coord", "e"}
+NUMERIC_FIELDS = {
+    "graph": [1], "coord": [1, 2, 3], "edge": [1, 2, 3], "toposet": [1, 2, 3], "topo": [1, 2], "e": [1, 2]
+}
+
+
+@st.composite
+def record_faults(draw, text: str):
+    """``text`` with one record line broken, and that line's number."""
+    lines = text.splitlines()
+    fault = draw(st.sampled_from(["append", "not a number", "unknown kind", "drop"]))
+    fields = [line.split() for line in lines]
+    if fault == "append":  # a 'topo' line without its optional mu would read the field as mu
+        eligible = [i for i, f in enumerate(fields) if f[0] != "topo" or len(f) == 3]
+    elif fault == "drop":
+        eligible = [i for i, f in enumerate(fields) if f[0] in REQUIRED_ONLY]
+    else:
+        eligible = list(range(len(lines)))
+    assume(eligible)
+    at = draw(st.sampled_from(eligible))
+    line = fields[at]
+    if fault == "append":
+        line = line + [draw(st.sampled_from(["7", "x", "0.5"]))]
+    elif fault == "not a number":
+        line[draw(st.sampled_from([i for i in NUMERIC_FIELDS[line[0]] if i < len(line)]))] = "x"
+    elif fault == "unknown kind":
+        line = [draw(st.sampled_from(["zz", "edges", "Topo", "graph:"]))] + line[1:]
+    else:
+        del line[draw(st.integers(1, len(line) - 1))]
+    lines[at] = " ".join(line)
+    return "\n".join(lines) + "\n", at + 1
+
+
+@settings(max_examples=150)
+@given(graph=graphs(), ts=topology_sets() | enumerated_sets(), data=st.data())
+def test_one_broken_record_names_its_line(scratch, graph, ts, data):
+    for text, read in ((graph.serialize(), read_graph), (ts.serialize(), read_topology_set)):
+        broken, lineno = data.draw(record_faults(text))
+        path = scratch / "broken.txt"
+        path.write_text(broken)
+        with pytest.raises(FormatError, match=f"^line {lineno}: "):
+            read(path)
 
 
 # one-digit values: a single inserted byte keeps every size below 100

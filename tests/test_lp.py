@@ -261,9 +261,24 @@ def test_simplex_iteration_cap_reports_capacity(relaxed, monkeypatch):
     monkeypatch.setattr(importlib.import_module("netvax.lp.simplex"), "_MAX_ITER", 1)
     model = build_model(gap_instance(), relaxed=relaxed)
     res = solve_simplex(model.objective, model.A, model.rhs, model.eq, model.lower, model.upper)
-    assert (res.status, res.iterations) == ("capacity", 2)
+    assert (res.status, res.iterations) == ("capacity", 1)
     sol = solve(model, engine="simplex")
     assert (sol.status, sol.values) == ("capacity", ())
+
+
+@pytest.mark.parametrize("relaxed", [True, False])
+def test_simplex_iteration_cap_allows_exactly_that_many_pivots(relaxed, monkeypatch):
+    model = build_model(gap_instance(), relaxed=relaxed)
+    args = (model.objective, model.A, model.rhs, model.eq, model.lower, model.upper)
+    free = solve_simplex(*args)
+    assert free.status == "optimal" and free.iterations > 1
+    simplex = importlib.import_module("netvax.lp.simplex")
+    monkeypatch.setattr(simplex, "_MAX_ITER", free.iterations)
+    capped = solve_simplex(*args)
+    assert (capped.status, capped.iterations, capped.objective) == ("optimal", free.iterations, free.objective)
+    monkeypatch.setattr(simplex, "_MAX_ITER", free.iterations - 1)
+    short = solve_simplex(*args)
+    assert (short.status, short.iterations) == ("capacity", free.iterations - 1)
 
 
 @pytest.mark.parametrize("engine", ["highs", "simplex"])

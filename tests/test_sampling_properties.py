@@ -110,14 +110,14 @@ def test_sample_lt_equals_the_scalar_walk(graph, s, seed):
 
 @given(lt_graphs())
 def test_lt_running_sums_equal_the_scalar_accumulation(graph):
-    pairs, head, n_heads, before, after = _lt_choices(graph)
+    pairs, head, n_heads, before, after, weights = _lt_choices(graph)
     expected = []
     for j in range(graph.n):
         acc = 0.0
         for src, w in sorted((src, w) for src, dst, w in graph.edges if dst == j):
-            expected.append((src, j, acc, acc + w))
+            expected.append((src, j, acc, acc + w, w))
             acc += w
-    assert list(zip(*pairs.T.tolist(), before.tolist(), after.tolist())) == expected
+    assert list(zip(*pairs.T.tolist(), before.tolist(), after.tolist(), weights.tolist())) == expected
     assert n_heads == len({j for _, j in pairs.tolist()}) and head.tolist() == sorted(head.tolist())
 
 
