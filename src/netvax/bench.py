@@ -219,13 +219,13 @@ def _solve(algorithm, config, instance, greedy_result) -> tuple[VaccinationSet |
     if algorithm in ("ls", "hc"):
         search = local_search if algorithm == "ls" else hill_climb
         return search(instance, greedy_result.vaccination, evaluation=config.evaluation).vaccination, "ok"
-    if algorithm == "lp_irp":
-        return round_irp(instance, engine=config.lp_engine), "ok"
-    if algorithm == "oracle":
-        try:
+    try:
+        if algorithm == "lp_irp":
+            return round_irp(instance, engine=config.lp_engine), "ok"
+        if algorithm == "oracle":
             return exhaustive_optimal(instance)[0], "ok"
-        except CapacityError:
-            return None, "capacity"
+    except CapacityError:
+        return None, "capacity"
     if algorithm == "blp":
         S, solution = solve_blp(instance, engine=config.lp_engine)
     else:

@@ -2,11 +2,12 @@
 
 Every evaluator supplies one method, ``_counts(S, candidates)``: per
 topology, the integer saved count of S and the integer gain of vaccinating
-each candidate in addition to S.  ``gains`` and ``totals_with`` are written
-once, on ``BfsEvaluator``, and reduce those counts through
+each candidate in addition to S.  Every query is answered from it:
+``gains``, ``totals_with``, ``total_saved`` and ``per_topology_saved`` are
+written once, on ``BfsEvaluator``, and reduce those counts through
 ``spread.weighted_total``, as ``avg_saved`` does, so every evaluator
 produces the same floats bit for bit, on mu-weighted (enumerated) instances
-too.  Two strategies supply the counts:
+too.  Only ``bfs`` walks BFS.  Two strategies supply the counts:
 
 * ``bfs`` runs one reachability pass per (topology, candidate), exactly as
   the greedy/local-search pseudocode is usually stated.  It is the reference
@@ -32,11 +33,7 @@ infected set from it.  By default it makes one ``totals_with(S - {v}, ws)``
 call per removed node v, which is ``saved(S - {v}) + gain(S - {v})[w]`` in
 every topology: ``bfs`` traverses each swapped set literally, and IC
 ``structural`` runs one dominator pass per removed node.  LT ``structural``
-answers the whole pass from one cover pass over its forest.  Set totals and
-per-topology counts (``total_saved``, ``per_topology_saved``) use BFS on
-``bfs`` and on IC ``structural``; LT ``structural`` reads them off its
-kernel too, so it never builds the BFS adjacency, which every evaluator
-builds only on first use.
+answers the whole pass from one cover pass over its forest.
 
 ``make_evaluator`` keeps the evaluator it built last in one module-level
 slot and returns it again while a request has the same topology set and
@@ -65,8 +62,8 @@ from .topology import flowgraph
 class BfsEvaluator:
     """Reachability-based evaluation with reusable visitation buffers.
 
-    The base of every evaluator: a subclass replaces ``_counts`` and keeps
-    the set totals and the reductions defined here.
+    The base of every evaluator: a subclass replaces ``_counts``, which every
+    query here reads, so only this class walks BFS or builds ``outs``.
     """
 
     name = "bfs"
@@ -114,8 +111,7 @@ class BfsEvaluator:
         return self.n - count
 
     def per_topology_saved(self, S) -> list[int]:
-        blocked = list(S)
-        return [self._saved_one(out, blocked) for out in self.outs]
+        return self._counts(S, ())[0].tolist()
 
     def total_saved(self, S) -> float:
         return weighted_total(self.per_topology_saved(S), self.mu)
@@ -130,13 +126,12 @@ class BfsEvaluator:
         One traversal per (topology, candidate), with the candidate vaccinated
         alongside S.
         """
-        blocked = list(S)
-        saved = np.array(self.per_topology_saved(blocked), dtype=np.int64)
-        with_each = np.array(
-            [[self._saved_one(out, blocked, extra=w) for w in candidates] for out in self.outs],
+        blocked, extras = list(S), [-1, *candidates]  # extra -1: S alone
+        counts = np.array(
+            [[self._saved_one(out, blocked, extra=w) for w in extras] for out in self.outs],
             dtype=np.int64,
-        ).reshape(self.s, len(candidates))
-        return saved, with_each - saved[:, None]
+        ).reshape(self.s, len(extras))
+        return counts[:, 0], counts[:, 1:] - counts[:, :1]
 
     def totals_with(self, base, candidates) -> np.ndarray:
         """Total saved of ``base | {w}`` for each candidate w.
@@ -210,6 +205,14 @@ def _count_before(mask) -> np.ndarray:
     out = np.zeros(len(mask) + 1, dtype=np.int64)
     np.cumsum(mask, out=out[1:])
     return out
+
+
+def _add_subtrees(size, rows, parent, depth) -> None:
+    """Turn each row's own count in ``size`` into its subtree total, deepest
+    rows first; ``rows`` at ``depth`` 2 and below add into their ``parent``."""
+    for d in range(depth.max(initial=0), 1, -1):
+        group = depth == d
+        np.add.at(size, parent[group], size[rows[group]])
 
 
 # ``IcDominatorEvaluator.gains`` rebuilds its compact table under S once the
@@ -358,10 +361,7 @@ class IcDominatorEvaluator(BfsEvaluator):
         bit = np.bitwise_count(idom_bits[inner, word] - np.uint64(1))
         idom = table.pos[topo[inner], word * 64 + bit]
         size = reached.astype(np.int64)
-        inner_depth = depth[inner]
-        for d in range(depth.max(initial=0), 1, -1):  # subtrees before their roots
-            group = inner_depth == d
-            np.add.at(size, idom[group], size[inner[group]])
+        _add_subtrees(size, inner, idom, depth[inner])
         gain_counts = np.zeros((s, n), dtype=np.int64)
         gain_counts[topo[r], node[r]] = size[r]
         gain_counts[:, self.infected] = 0
@@ -406,9 +406,8 @@ class LtChainEvaluator(BfsEvaluator):
     the end.  A ``_counts`` call adds +1 at ``pre`` and -1 at ``end`` of every
     vaccinated row; the running sum counts the vaccinated rows at or above
     each position, the infected rows are those it leaves at 0, and every
-    gain is a difference of one prefix sum over them.  Set totals come from
-    the same pass, and ``swap_totals`` reads every swap of a set off one
-    cover pass, nested subtrees included.  The class defines ``gains`` and
+    gain is a difference of one prefix sum over them.  ``swap_totals`` reads
+    every swap of a set off one cover pass, nested subtrees included.  The class defines ``gains`` and
     ``batch_total`` itself only so that the benchmark's tracer, which wraps
     methods by class and name, finds them here.
     """
@@ -423,12 +422,9 @@ class LtChainEvaluator(BfsEvaluator):
         tree = csr_matrix((np.ones(len(tail), dtype=bool), (tail, head)), shape=(root + 1, root + 1))
         order, parent = depth_first_order(tree, root, directed=True, return_predecessors=True)
         rows = order[1:]  # every reached row in preorder, the super-source left out
-        depth = level[rows]
         size = np.zeros(root, dtype=np.int64)
         size[rows] = 1
-        for d in range(depth.max(initial=0), 1, -1):  # subtrees before their roots
-            group = rows[depth == d]
-            np.add.at(size, parent[group], size[group])
+        _add_subtrees(size, rows, parent[rows], level[rows])
         self._positions = len(rows)
         pre = np.full(root, len(rows), dtype=np.int64)
         pre[rows] = np.arange(len(rows))
@@ -443,9 +439,6 @@ class LtChainEvaluator(BfsEvaluator):
         self._seeds = np.array(self.infected, dtype=np.intp)
         self._is_seed = np.zeros(n, dtype=bool)
         self._is_seed[self._seeds] = True
-
-    def per_topology_saved(self, S) -> list[int]:
-        return self._counts(S, ())[0].tolist()
 
     def _cover(self, pre, end) -> np.ndarray:
         """Per position, how many vaccinated rows, with intervals ``[pre, end)``, hold it."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ModelMismatchError, ParameterError
-from .graph import IC, LT, MODELS, Graph
+from .graph import IC, LT, LT_INCOMING_CAP, MODELS, Graph
 from .util import as_rng, round_half_up, text_lines
 
 # Synthetic per-center variance range in box-units^2 (the data gives only
@@ -77,7 +77,7 @@ def _lt_weights(n: int, dst: np.ndarray, rng: np.random.Generator) -> np.ndarray
     # bincount adds in edge order, one edge after another
     incoming_sum = np.bincount(dst, weights=weights, minlength=n)
     # Rescale whenever the sum would fail the strict-(<1) validation check.
-    over = incoming_sum > 1.0 - 1e-9
+    over = incoming_sum > LT_INCOMING_CAP
     scale = np.ones(n)
     scale[over] = LT_RESCALE_TARGET / incoming_sum[over]
     return weights * scale[dst]

@@ -246,33 +246,43 @@ def write_graph(graph: Graph, path) -> None:
 def read_graph(path) -> Graph:
     """Parse the line-oriented graph format written by write_graph.
 
-    Beyond the record grammar: one header, and coord lines, if any, give
-    every node once.  What ``Graph`` rejects is a FormatError too.
+    Beyond the record grammar: one valid header, coord and edge nodes in
+    0..n-1, and coord lines, if any, giving every node once.  What else
+    ``Graph`` rejects is a FormatError too.
     """
     header = None
     coords: dict[int, tuple[float, float]] = {}
+    node_lines: list[tuple[int, tuple[int, ...]]] = []  # each coord and edge line's nodes
     edges: list[tuple[int, int, float]] = []
     for lineno, kind, values in records(path, _RECORDS):
         if kind == "graph":
             if header is not None:
                 raise FormatError(f"line {lineno}: a second 'graph' header")
-            header = values
+            n, model = header = values
+            try:
+                Graph(n, (), model)  # only the header's own checks
+            except ParameterError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
         elif kind == "coord":
             node, x, y = values
             if node in coords:
                 raise FormatError(f"line {lineno}: coord for node {node} given twice")
             coords[node] = (x, y)
+            node_lines.append((lineno, (node,)))
         else:
             edges.append(values)
+            node_lines.append((lineno, values[:2]))
     if header is None:
         raise FormatError("missing 'graph <n> <model>' header line")
     n, model = header
-    coord_list = None
-    if coords:
-        if set(coords) != set(range(n)):
-            raise FormatError("coord lines must cover every node exactly once")
-        coord_list = [coords[i] for i in range(n)]
+    for lineno, nodes in node_lines:
+        if not all(0 <= v < n for v in nodes):
+            what = f"edge ({nodes[0]},{nodes[1]})" if len(nodes) == 2 else f"coord for node {nodes[0]}"
+            raise FormatError(f"line {lineno}: {what} references a node outside 0..{n - 1}")
+    # every coord node is in range and given once, so a count short of n misses one
+    if coords and len(coords) != n:
+        raise FormatError("coord lines must cover every node exactly once")
     try:
-        return Graph(n, edges, model, coord_list)
-    except (IndexError, ParameterError) as exc:
+        return Graph(n, edges, model, [coords[i] for i in range(n)] if coords else None)
+    except ParameterError as exc:
         raise FormatError(str(exc)) from exc

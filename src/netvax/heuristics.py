@@ -9,12 +9,9 @@ strictly improving one per iteration.
 Both swap searches share one scan.  A search totals its start set once.
 Per pass it asks the evaluator once for the totals of every swap of S,
 with the allowed replacements of each selected node as one row of a
-boolean mask, and the committed swap's total is the next pass's bar.  LT
-``structural`` answers the whole pass from one cover pass over its
-live-edge forest; IC ``structural`` still runs one dominator pass per
-selected node, on S - {v}; with ``bfs`` every swapped set is still
-evaluated literally.  Every solver reads the per-topology counts of its
-final set off the same evaluator, so it runs no BFS of its own.
+boolean mask, and the committed swap's total is the next pass's bar.
+Every solver reads its final per-topology counts off the same evaluator,
+which answers every query from its own counts (see ``fastpath``).
 
 Each solver gets its evaluator from ``make_evaluator``, which returns the one
 it built last while the topology set and graph are the same objects, the

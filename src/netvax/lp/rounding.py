@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import CapacityError, ParameterError
 from ..spread import ProblemInstance, VaccinationSet
 from .model import LpSolution, build_model
 from .solve import solve
@@ -47,14 +47,15 @@ def round_irp(
 
     Each round picks the unpinned non-infected node with the highest
     vaccination score (ties by out-degree, then index) and adds an I = 1
-    pin before the next solve, until the budget is exhausted.
+    pin before the next solve, until the budget is exhausted.  A round whose
+    solve is not optimal raises CapacityError.
     """
     chosen: list[int] = []
     for iteration in range(instance.k):
         model = build_model(instance, relaxed=True, pinned_ones=chosen)
         solution = solve(model, engine=engine)
         if solution.status != "optimal":
-            raise RuntimeError(
+            raise CapacityError(
                 f"iterative rounding failed at iteration {iteration}: {solution.status}"
             )
         ranked = _ranked(instance, model.i_values(solution.values))

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -55,6 +56,15 @@ def test_run_is_reproducible(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
     saved = lambda p: [(r.algorithm, r.rep, r.saved_avg, r.saved_pct) for r in read_csv(p)]
     assert saved(out1) == saved(out2)
+
+
+def test_lp_runs_past_the_simplex_pivot_cap_write_capacity_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("netvax.lp.simplex"), "_MAX_ITER", 1)
+    text = CONFIG.replace("algorithms = greedy,ls", "algorithms = lp_irp,lp_tkr\nlp_engine = simplex")
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    rows = [(r.rep, r.algorithm, r.status, r.saved_avg) for r in read_csv(out)]
+    assert rows == [(rep, alg, "capacity", None) for rep in (0, 1) for alg in ("lp_irp", "lp_tkr")]
 
 
 def test_seed_override_changes_results(tmp_path):

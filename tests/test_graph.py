@@ -116,7 +116,18 @@ def test_read_graph_errors(tmp_path):
 def test_read_graph_out_of_range_edge(tmp_path):
     p = tmp_path / "bad.graph"
     p.write_text("graph 3 IC\nedge 0 5 0.5\n")
-    with pytest.raises(FormatError, match="outside"):
+    with pytest.raises(FormatError, match=r"line 2: edge \(0,5\) references a node outside 0\.\.2"):
+        read_graph(p)
+    # an edge line before the header is checked once the header is read
+    p.write_text("edge 0 1 0.5\nedge -1 1 0.5\ngraph 2 LT\n")
+    with pytest.raises(FormatError, match=r"line 2: edge \(-1,1\) references a node outside 0\.\.1"):
+        read_graph(p)
+
+
+def test_read_graph_out_of_range_coord(tmp_path):
+    p = tmp_path / "bad.graph"
+    p.write_text("graph 2 IC\ncoord 0 0 0\ncoord 2 1 1\n")
+    with pytest.raises(FormatError, match=r"line 3: coord for node 2 references a node outside 0\.\.1"):
         read_graph(p)
 
 
@@ -137,9 +148,9 @@ def test_read_graph_rejects_a_second_header(tmp_path):
 def test_read_graph_bad_header_values(tmp_path):
     # Graph(...) rejects these with ParameterError; the reader reports a FormatError
     p = tmp_path / "bad.graph"
-    for header in ("graph 8 I", "graph -2 IC"):
-        p.write_text(header + "\n")
-        with pytest.raises(FormatError):
+    for header, message in (("graph 8 I", "unknown model tag 'I'"), ("graph -2 IC", "node count must be non-negative")):
+        p.write_text("# a comment line\n" + header + "\n")
+        with pytest.raises(FormatError, match=f"line 2: {message}"):
             read_graph(p)
 
 

@@ -254,8 +254,8 @@ def test_ic_structural_swaps_match_bfs():
 
 
 def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
-    # one BFS count per topology for the start total and one for the final
-    # total; every swap pass reads the dominator table instead
+    # gains, swap passes, the swap search's start total and every solver's
+    # final counts all read the dominator table: no BFS count, no BFS adjacency
     calls = {"saved_one": 0, "dominator": 0}
     saved_one = BfsEvaluator._saved_one
     dominator_pass = IcDominatorEvaluator._dominator_pass
@@ -271,11 +271,11 @@ def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
     monkeypatch.setattr(BfsEvaluator, "_saved_one", counted_saved_one)
     monkeypatch.setattr(IcDominatorEvaluator, "_dominator_pass", counted_dominator_pass)
     inst = ic_waxman_instance(0)
-    start = inst.candidates()[: inst.k]
-    for search in (local_search, hill_climb):
-        calls["saved_one"] = 0
-        search(inst, start, evaluation="structural")
-        assert calls["saved_one"] == 2 * len(inst.topologies), search.__name__
+    start = greedy(inst, evaluation="structural").vaccination
+    local_search(inst, start, evaluation="structural")
+    hill_climb(inst, inst.candidates()[: inst.k], evaluation="structural")
+    assert calls["saved_one"] == 0
+    assert all(t._out is None for t in inst.topologies)
     assert calls["dominator"] > 0
 
 

@@ -26,7 +26,7 @@ from netvax import (
     verify_solution,
     write_lp_file,
 )
-from netvax.errors import ParameterError
+from netvax.errors import CapacityError, ParameterError
 from netvax.generators import generate_er
 from netvax.lp.model import LpSolution, pruned_view
 from netvax.lp.simplex import solve_simplex
@@ -484,7 +484,7 @@ def test_irp_failure_carries_iteration(monkeypatch):
 
     monkeypatch.setattr(rounding, "solve", fake_solve)
     inst = tkr_instance(2)
-    with pytest.raises(RuntimeError, match="iteration 0"):
+    with pytest.raises(CapacityError, match="iteration 0"):
         round_irp(inst)
 
 
