@@ -7,7 +7,9 @@ each candidate in addition to S.  Every query is answered from it:
 written once, on ``BfsEvaluator``, and reduce those counts through
 ``spread.weighted_total``, as ``avg_saved`` does, so every evaluator
 produces the same floats bit for bit, on mu-weighted (enumerated) instances
-too.  Only ``bfs`` walks BFS.  Two strategies supply the counts:
+too.  Each checks its nodes with ``spread.checked_nodes`` first: a node
+outside 0..n-1 or an infected one is a ``ContractViolationError``.  Only
+``bfs`` walks BFS.  Two strategies supply the counts:
 
 * ``bfs`` runs one reachability pass per (topology, candidate), exactly as
   the greedy/local-search pseudocode is usually stated.  It is the reference
@@ -17,13 +19,16 @@ too.  Only ``bfs`` walks BFS.  Two strategies supply the counts:
   feeds the seeds: vaccinating v saves exactly those.  Each call answers
   every topology at once in one batched numpy pass.  On IC the counts come
   from a dominator kernel over a bitset table of at most ``s * (n + 1) *
-  (n // 64 + 1) * 8`` bytes.  It keeps a second, smaller table with only
-  the rows still reached under part of greedy's set, which ``gains``
-  rebuilds as that set grows; every call on a superset of that part reads
-  it and gets the same counts.  An LT realization gives each node at most
-  one live parent, so its flowgraph is a forest and its own dominator tree:
-  a node's gain is its infected-subtree size, which prefix sums over one
-  fixed DFS preorder give directly.
+  (n // 64 + 1) * 8`` bytes: its sweeps stop visiting a row once the row
+  holds its own bit alone, and v's gain is the number of reached rows
+  whose dominator set holds v; a set total reads only which rows stay
+  reached.  It keeps a second, smaller table with only the rows still
+  reached under part of greedy's set, which ``gains`` rebuilds as that set
+  grows; every call on a superset of that part reads it and gets the same
+  counts.  An LT realization gives each node at most one live parent, so
+  its flowgraph is a forest and its own dominator tree: a node's gain is
+  its infected-subtree size, which prefix sums over one fixed DFS preorder
+  give directly.
 
 A swap pass needs the totals of every ``(S - {v}) | {w}``: ``swap_totals(S,
 allowed)`` returns them as one (|S|, n) array, row i for the i-th node of
@@ -111,7 +116,8 @@ class BfsEvaluator:
         return self.n - count
 
     def per_topology_saved(self, S) -> list[int]:
-        return self._counts(S, ())[0].tolist()
+        """The saved count of S on each topology; S is checked as in ``totals_with``."""
+        return self._counts(checked_nodes(S, self.n, self._infected_set), ())[0].tolist()
 
     def total_saved(self, S) -> float:
         return weighted_total(self.per_topology_saved(S), self.mu)
@@ -150,11 +156,13 @@ class BfsEvaluator:
 
         ``total(S | {v}) - total(S)``, each total reduced on its own, so the
         floats match across evaluators; -inf where v is in S or infected.
+        S is checked as ``totals_with`` checks ``base``.
         """
-        return self._gains(set(S))[0]
+        return self._gains(S)[0]
 
     def _gains(self, S) -> tuple[np.ndarray, np.ndarray]:
         """``gains(S)`` and the per-topology saved counts of S."""
+        S = checked_nodes(S, self.n, self._infected_set)
         candidates = [v for v in range(self.n) if v not in S and v not in self._infected_set]
         saved, gain_counts = self._counts(S, candidates)
         out = np.full(self.n, -math.inf)
@@ -239,14 +247,16 @@ class _DomTable(NamedTuple):
 
 
 class IcDominatorEvaluator(BfsEvaluator):
-    """Gains via dominator subtree counts on the reachability flowgraph.
+    """Gains via dominator counts on the reachability flowgraph.
 
     A node u is saved by vaccinating v exactly when every live path from the
     seeds to u passes through v, i.e. v dominates u with respect to a virtual
     super-source feeding all seeds.  Each ``_counts`` call solves the
     dominator dataflow ``Dom(u) = {u} | AND of Dom(p) over predecessors p``
-    (Cooper, Harvey & Kennedy) for every topology at once.  It is exact on
-    LT too, but LT has a cheaper kernel of its own; see ``LtChainEvaluator``.
+    (Cooper, Harvey & Kennedy) for every topology at once, and v's gain on a
+    topology is the number of its reached rows whose ``Dom`` holds v.  It is
+    exact on LT too, but LT has a cheaper kernel of its own; see
+    ``LtChainEvaluator``.
 
     ``Dom(u)`` is a packed bitset of ``n // 64 + 1`` uint64 words, one row
     per (topology, node) of a ``_DomTable``, plus the super-source's empty
@@ -254,7 +264,11 @@ class IcDominatorEvaluator(BfsEvaluator):
     ones and leave an AND unchanged.  Rows are ordered by the BFS level of
     their node, then by falling in-degree, so the AND of one level's rows
     over their j-th predecessors is one ``take`` into a prefix of the level's
-    rows.  Level sweeps repeat until a full sweep changes nothing.
+    rows.  The first two level sweeps visit every row.  A row that is
+    vaccinated, or whose value is its own bit alone, then holds the least
+    value it can take; the later sweeps, until one changes nothing, visit
+    only the other, open rows.  Only an open row can hold a dominator besides
+    itself, so the count reads just their bits.
 
     The evaluator keeps two tables.  ``_full`` has the rows reached when
     nothing is vaccinated, about ``s * (n + 1) * (n // 64 + 1) * 8`` bytes
@@ -335,63 +349,120 @@ class IcDominatorEvaluator(BfsEvaluator):
         return out
 
     def _counts(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
-        saved, gain_counts = self._dominator_pass(S)
-        return saved, gain_counts[:, list(candidates)]
+        # the pass has a name of its own because the benchmark's tracer wraps it
+        return self._dominator_pass(S, list(candidates))
 
-    def _dominator_pass(self, S) -> tuple[np.ndarray, np.ndarray]:
-        """Per-topology saved counts and dominated-node counts for one set S."""
+    def _dominator_pass(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
+        """Per-topology saved counts of S and dominated-node counts of ``candidates``.
+
+        A set total (no candidates) reads only which rows stay reached.
+        """
         n, s = self.n, self.s
         table = self._compact if self._compact.base.issubset(S) else self._full
         blocked = np.zeros(len(table.node), dtype=bool)
         where = table.pos[:, list(S)].ravel()
         blocked[where[where >= 0]] = True
-        dom = self._dominator_sets(table, blocked)
+        dom, open_rows = self._dominator_sets(table, blocked)
         reached = (dom[:, n >> 6] & _bit(n)) == 0
-        depth = np.where(reached, np.bitwise_count(dom).sum(axis=1, dtype=np.int64), 0)
         r = np.flatnonzero(reached)
-        topo, node = table.topo, table.node
-        # Dom(u) is a chain, so u's immediate dominator is its one dominator at
-        # depth(u) - 1; per-(topology, depth) node masks pick it out
-        at_depth = np.zeros((s, depth.max(initial=0) + 1, dom.shape[1]), dtype=np.uint64)
-        np.bitwise_or.at(at_depth, (topo[r], depth[r], node[r] >> 6), table.bit[r])
-        idom_bits = at_depth[topo, np.maximum(depth - 1, 0)]
-        idom_bits &= dom
-        inner = np.flatnonzero(depth > 1)
-        word = np.argmax((idom_bits != 0)[inner], axis=1)
-        bit = np.bitwise_count(idom_bits[inner, word] - np.uint64(1))
-        idom = table.pos[topo[inner], word * 64 + bit]
-        size = reached.astype(np.int64)
-        _add_subtrees(size, inner, idom, depth[inner])
-        gain_counts = np.zeros((s, n), dtype=np.int64)
-        gain_counts[topo[r], node[r]] = size[r]
+        saved = n - np.bincount(table.topo[r], minlength=s)
+        if not candidates:
+            return saved, np.zeros((s, 0), dtype=np.int64)
+        # v's gain on topology t is the number of reached rows of t whose Dom
+        # holds v: each reached row holds its own node, and only an open row
+        # can hold more, its strict dominators
+        o = np.flatnonzero(reached & open_rows)
+        strict = dom[o]
+        strict.reshape(-1)[np.arange(len(o)) * dom.shape[1] + (table.node[o] >> 6)] ^= table.bit[o]
+        row, word = np.nonzero(strict)
+        value = strict[row, word]
+        at = table.topo[o[row]] * n + word * 64  # the key of each word's bit 0
+        keys = [table.topo[r] * n + table.node[r]]
+        while len(value):  # peel off each word's lowest set bit until none is left
+            low = value & (~value + np.uint64(1))
+            keys.append(at + np.bitwise_count(low - np.uint64(1)))
+            value ^= low
+            more = value != 0
+            value, at = value[more], at[more]
+        gain_counts = np.bincount(np.concatenate(keys), minlength=s * n).reshape(s, n)
         gain_counts[:, self.infected] = 0
-        saved = n - np.bincount(topo[r], minlength=s)
-        return saved, gain_counts
+        return saved, gain_counts[:, candidates]
 
-    def _dominator_sets(self, table, blocked) -> np.ndarray:
-        """The Dom table of every row of ``table``, with the rows in ``blocked`` vaccinated."""
+    def _dominator_sets(self, table, blocked) -> tuple[np.ndarray, np.ndarray]:
+        """The Dom table of every row of ``table``, with the rows in ``blocked``
+        vaccinated, and the mask of the rows left open after the second sweep.
+
+        Values only shrink from all ones, and a reached row's value holds at
+        least its own bit.  So after the second sweep, the first that reads
+        every predecessor's swept value, a vaccinated row and a row at its
+        own bit alone are settled for good; later sweeps visit only the open
+        rows, with each level's predecessor slots cut down to them once.
+        """
         ones = ~np.uint64(0)
-        dom = np.full((len(blocked) + 1, self.n // 64 + 1), ones)
+        words = self.n // 64 + 1
+        dom = np.full((len(blocked) + 1, words), ones)
         dom[-1] = 0  # the super-source's row: reached, dominated by nothing
-        acc_buf = np.empty((table.widest, dom.shape[1]), dtype=np.uint64)
+        acc_buf = np.empty((table.widest, words), dtype=np.uint64)
         part_buf = np.empty_like(acc_buf)
-        changed = True
-        while changed:  # Gauss-Seidel sweeps until one full sweep changes nothing
+
+        def sweep(levels) -> bool:
+            """One Gauss-Seidel sweep over ``levels``; True if it changed a row."""
             changed = False
-            for lo, hi, slots, own in table.levels:
+            for rows, slots, own, bit, vaccinated in levels:
                 # mode="clip" writes straight into ``out`` ("raise" buffers);
                 # the indices are in range by construction
-                acc = acc_buf[: hi - lo]
+                acc = acc_buf[: len(bit)]
                 np.take(dom, slots[0], axis=0, out=acc, mode="clip")
                 for preds in slots[1:]:
                     part = part_buf[: len(preds)]
                     np.take(dom, preds, axis=0, out=part, mode="clip")
                     acc[: len(preds)] &= part
-                acc.reshape(-1)[own] |= table.bit[lo:hi]
-                acc[blocked[lo:hi]] = ones
-                changed = changed or not np.array_equal(acc, dom[lo:hi])
-                dom[lo:hi] = acc
-        return dom[:-1]
+                acc.reshape(-1)[own] |= bit
+                acc[vaccinated] = ones
+                changed = changed or not np.array_equal(acc, dom[rows])
+                dom[rows] = acc
+            return changed
+
+        every = [
+            (slice(lo, hi), slots, own, table.bit[lo:hi], blocked[lo:hi])
+            for lo, hi, slots, own in table.levels
+        ]
+        sweep(every)
+        changed = sweep(every)
+        # a row that is not vaccinated always holds its own bit, so it is at
+        # its own bit alone when it holds one bit; counted word by word,
+        # which is faster than a reduction along the short axis
+        held = np.zeros(len(blocked), dtype=np.uint16)
+        for w in range(words):
+            held += np.bitwise_count(dom[:-1, w])
+        open_rows = ~blocked & (held > 1)
+        if changed:
+            narrowed = self._open_levels(table, blocked, open_rows)
+            while sweep(narrowed):
+                pass
+        return dom[:-1], open_rows
+
+    def _open_levels(self, table, blocked, open_rows) -> list:
+        """The levels of ``table`` cut down to the rows in ``open_rows``, as the sweeps read them.
+
+        Slot j of a level holds a prefix of the level's rows, so it also
+        holds a prefix of the level's open rows.
+        """
+        words = self.n // 64 + 1
+        levels = []
+        for lo, hi, slots, _ in table.levels:
+            keep = np.flatnonzero(open_rows[lo:hi])
+            if len(keep):
+                widths = np.searchsorted(keep, [len(preds) for preds in slots]).tolist()
+                rows = lo + keep
+                levels.append((
+                    rows,
+                    [preds[keep[:w]] for preds, w in zip(slots, widths) if w],
+                    np.arange(len(keep)) * words + (table.node[rows] >> 6),
+                    table.bit[rows],
+                    blocked[rows],
+                ))
+        return levels
 
 
 class LtChainEvaluator(BfsEvaluator):

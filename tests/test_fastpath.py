@@ -236,6 +236,21 @@ def test_totals_with_and_swap_totals_reject_infected_and_out_of_range_nodes(mode
             evaluator.swap_totals(S, np.ones((2, inst.n), dtype=bool))
 
 
+@pytest.mark.parametrize("evaluation", ["bfs", "structural"])
+@pytest.mark.parametrize("model", [LT, IC])
+def test_gains_and_set_totals_reject_infected_and_out_of_range_nodes(model, evaluation):
+    # -1 must not be read as node n - 1, nor n raise a bare IndexError
+    inst = random_instance(1, model=model, n=12, p=0.3, s=4, n_infected=2, k=4)
+    evaluator = make_evaluator(inst, evaluation)
+    w = inst.candidates()[0]
+    infected = min(inst.infected)
+    for S in ({-1}, {inst.n}, {infected}, {w, -1}, {w, inst.n}, {w, infected}):
+        for query in (evaluator.gains, evaluator.per_topology_saved, evaluator.total_saved):
+            with pytest.raises(ContractViolationError):
+                query(S)
+    assert evaluator.total_saved({w}) == BfsEvaluator(inst).total_saved({w})
+
+
 def nested_pair(topo, seeds, rng):
     """A live edge (a, b) that the seeds reach, neither end a seed.
 
@@ -522,8 +537,35 @@ def dominator_cases(draw):
     return inst, S
 
 
-@settings(max_examples=200)
-@given(dominator_cases())
+@st.composite
+def cyclic_ic_instances(draw):
+    """Small IC instances whose topologies hold cycles without seeds and through a seed."""
+    n = draw(st.integers(8, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = [int(v) for v in rng.choice(n, size=draw(st.integers(1, 2)), replace=False)]
+    others = [v for v in range(n) if v not in seeds]
+    topologies = []
+    for _ in range(draw(st.integers(1, 4))):
+        edges = set(random_topology(rng, n, draw(st.sampled_from([0.05, 0.15, 0.3]))).live_edges)
+        ring = [int(v) for v in rng.choice(others, size=4, replace=False)]
+        edges |= set(zip(ring, ring[1:] + ring[:1]))
+        ring = seeds[:1] + ring[:2]
+        edges |= set(zip(ring, ring[1:] + ring[:1]))
+        topologies.append(Topology(n, sorted(edges)))
+    pairs = sorted(set().union(*(t.live_edges for t in topologies)))
+    graph = Graph(n, [(a, b, 0.5) for a, b in pairs], IC)
+    return ProblemInstance(graph, frozenset(seeds), 0, TopologySet(topologies, "", 0))
+
+
+@st.composite
+def cyclic_ic_cases(draw):
+    """A small cyclic IC instance and a random vaccinated set of up to 5 nodes."""
+    inst = draw(cyclic_ic_instances())
+    return inst, frozenset(draw(st.lists(st.sampled_from(inst.candidates()), max_size=5, unique=True)))
+
+
+@settings(max_examples=280)
+@given(st.one_of(dominator_cases(), cyclic_ic_cases()))
 def test_dominator_kernel_matches_networkx(case):
     inst, S = case
     fast = make_evaluator(inst, "structural")
@@ -532,6 +574,49 @@ def test_dominator_kernel_matches_networkx(case):
         expected_saved, expected_counts = dominator_oracle(topo, inst.infected, S)
         assert saved[t] == expected_saved
         assert np.array_equal(gain_counts[t], expected_counts)
+
+
+def test_narrowed_sweeps_match_sweeps_over_every_row_along_greedy(monkeypatch):
+    # after the second sweep the kernel sweeps only its open rows; sweeping
+    # every row instead must give the same answers bit for bit
+    cfg = ExperimentConfig(
+        model=IC, generator="waxman", n=128, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
+    )
+    inst = build_instance(cfg, 0)
+    open_levels = IcDominatorEvaluator._open_levels
+
+    def trajectory():
+        fast = IcDominatorEvaluator(inst)
+        S, out = set(), []
+        for _ in range(12):
+            gains = fast.gains(S)
+            out.append((gains, fast.per_topology_saved(S)))
+            if S:
+                out.append(fast.swap_totals(S, neighbor_mask(inst, S)))
+            S.add(int(np.argmax(gains)))
+        return out
+
+    def every_row(self, table, blocked, open_rows):
+        return open_levels(self, table, blocked, np.ones_like(open_rows))
+
+    with monkeypatch.context() as m:
+        m.setattr(IcDominatorEvaluator, "_open_levels", every_row)
+        expected = trajectory()
+    settled = []  # per narrowing: the rows it leaves out that are not vaccinated
+
+    def spy(self, table, blocked, open_rows):
+        settled.append(int(np.count_nonzero(~blocked & ~open_rows)))
+        return open_levels(self, table, blocked, open_rows)
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_open_levels", spy)
+    got = trajectory()
+    assert settled and min(settled) > 0
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        if isinstance(a, tuple):
+            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        else:
+            assert np.array_equal(a, b)
 
 
 def test_no_dom_table_on_lt_and_no_one_sweep_on_ic_back_edge():
@@ -589,10 +674,10 @@ def test_compacted_ic_table_matches_a_fresh_evaluator(monkeypatch):
     dominator_pass = IcDominatorEvaluator._dominator_pass
     dominator_sets = IcDominatorEvaluator._dominator_sets
 
-    def spy_pass(self, S):
+    def spy_pass(self, S, candidates):
         if self is fast:
             passes.append(frozenset(S))
-        return dominator_pass(self, S)
+        return dominator_pass(self, S, candidates)
 
     def spy_sets(self, table, blocked):
         if self is fast:
@@ -616,26 +701,6 @@ def test_compacted_ic_table_matches_a_fresh_evaluator(monkeypatch):
         for P, table in zip(passes, tables):
             assert table is (compact if compact.base <= P else fast._full)
         assert (tables[-1] is compact) == (S is not without_one)  # the gains pass
-
-
-@st.composite
-def cyclic_ic_instances(draw):
-    """Small IC instances whose topologies hold cycles without seeds and through a seed."""
-    n = draw(st.integers(8, 14))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    seeds = [int(v) for v in rng.choice(n, size=draw(st.integers(1, 2)), replace=False)]
-    others = [v for v in range(n) if v not in seeds]
-    topologies = []
-    for _ in range(draw(st.integers(1, 4))):
-        edges = set(random_topology(rng, n, draw(st.sampled_from([0.05, 0.15, 0.3]))).live_edges)
-        ring = [int(v) for v in rng.choice(others, size=4, replace=False)]
-        edges |= set(zip(ring, ring[1:] + ring[:1]))
-        ring = seeds[:1] + ring[:2]
-        edges |= set(zip(ring, ring[1:] + ring[:1]))
-        topologies.append(Topology(n, sorted(edges)))
-    pairs = sorted(set().union(*(t.live_edges for t in topologies)))
-    graph = Graph(n, [(a, b, 0.5) for a, b in pairs], IC)
-    return ProblemInstance(graph, frozenset(seeds), 0, TopologySet(topologies, "", 0))
 
 
 @settings(max_examples=40)
