@@ -19,7 +19,9 @@ outside 0..n-1 or an infected one is a ``ContractViolationError``.  Only
   feeds the seeds: vaccinating v saves exactly those.  Each call answers
   every topology at once in one batched numpy pass.  On IC the counts come
   from a dominator kernel over a bitset table of at most ``s * (n + 1) *
-  (n // 64 + 1) * 8`` bytes: its sweeps stop visiting a row once the row
+  (n // 64 + 1) * 8`` bytes: its first sweep reads only each row's
+  predecessors one BFS level up and writes whole rows through a view with
+  one item per row, its later sweeps stop visiting a row once the row
   holds its own bit alone, and v's gain is the number of reached rows
   whose dominator set holds v; a set total reads only which rows stay
   reached.  It keeps a second, smaller table with only the rows still
@@ -215,6 +217,35 @@ def _count_before(mask) -> np.ndarray:
     return out
 
 
+def _stable_order(keys, bound) -> np.ndarray:
+    """The stable sorting order of ``keys``, non-negative integers below ``bound``.
+
+    numpy sorts 16-bit integers stably by radix sort, in linear time, so
+    this sorts by the lowest 16-bit digit and then by each higher digit
+    that ``bound`` needs.
+    """
+    order = keys.astype(np.uint16).argsort(kind="stable")  # astype keeps the low digit
+    shift = 16
+    while bound > 1 << shift:
+        order = order[(keys[order] >> shift).astype(np.uint16).argsort(kind="stable")]
+        shift += 16
+    return order
+
+
+def _slots(preds, first, degree, bounds):
+    """Per level ``[lo, hi)`` of ``bounds``, the pred rows of each slot j.
+
+    The k-th row in level order has the predecessors ``preds[first[k] :
+    first[k] + degree[k]]``, and each level's rows are in falling degree, so
+    slot j, the j-th predecessors of the rows whose degree exceeds j,
+    belongs to a prefix of the level's rows.
+    """
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        falling = -degree[lo:hi]
+        widths = falling.searchsorted(-np.arange(-falling[0])).tolist()
+        yield lo, hi, [preds[first[lo : lo + width] + j] for j, width in enumerate(widths)]
+
+
 def _add_subtrees(size, rows, parent, depth) -> None:
     """Turn each row's own count in ``size`` into its subtree total, deepest
     rows first; ``rows`` at ``depth`` 2 and below add into their ``parent``."""
@@ -243,6 +274,7 @@ class _DomTable(NamedTuple):
     node: np.ndarray  # each row's node
     bit: np.ndarray  # each row's node bit within its uint64 word
     levels: list  # per BFS level: first row, end row, pred rows per slot, own-bit indices
+    forward: list  # per BFS level: its rows by falling forward in-degree, forward pred rows per slot
     widest: int  # the rows of the widest level
 
 
@@ -264,11 +296,15 @@ class IcDominatorEvaluator(BfsEvaluator):
     ones and leave an AND unchanged.  Rows are ordered by the BFS level of
     their node, then by falling in-degree, so the AND of one level's rows
     over their j-th predecessors is one ``take`` into a prefix of the level's
-    rows.  The first two level sweeps visit every row.  A row that is
-    vaccinated, or whose value is its own bit alone, then holds the least
-    value it can take; the later sweeps, until one changes nothing, visit
-    only the other, open rows.  Only an open row can hold a dominator besides
-    itself, so the count reads just their bits.
+    rows.  The first sweep reads only the predecessors one level up, with
+    each level's rows in a second order, by falling in-degree from the level
+    above; the second sweep reads every predecessor of every row.  A row
+    that is vaccinated, or whose value is its own bit alone, then holds the
+    least value it can take; the later sweeps, until one changes nothing,
+    visit only the other, open rows.  Only an open row can hold a dominator
+    besides itself, so the count reads just their bits.  The first sweep and
+    the sweeps over open rows write rows at scattered positions, through a
+    view of the table with one void item per row.
 
     The evaluator keeps two tables.  ``_full`` has the rows reached when
     nothing is vaccinated, about ``s * (n + 1) * (n // 64 + 1) * 8`` bytes
@@ -298,32 +334,37 @@ class IcDominatorEvaluator(BfsEvaluator):
         )
         reached = level >= 0
         indeg = np.bincount(head, minlength=root + 1)
-        heads = np.flatnonzero(reached[:root])
+        heads = reached[:root].nonzero()[0]
         heads = heads[np.lexsort((-indeg[heads], level[heads]))]
         rows = len(heads)
         pos = np.full(root + 1, -1, dtype=np.int64)
         pos[heads] = np.arange(rows)
         pos[root] = rows  # the last row
-        by_head = np.argsort(pos[head], kind="stable")
-        tail = pos[tail[by_head]]  # predecessors grouped by head row
-        del head, by_head
+        tail = tail[_stable_order(pos[head], rows)]  # predecessors grouped by head row, in edge order
+        del head
         degree = indeg[heads]
-        first = np.cumsum(degree) - degree  # each head's first entry in ``tail``
         head_level = level[heads]
-        bounds = np.searchsorted(head_level, np.arange(1, head_level.max(initial=0) + 2))
+        up = level[tail] + 1 == head_level.repeat(degree)  # the predecessors one level up
+        tail = pos[tail]
+        first = degree.cumsum() - degree  # each row's first entry in ``tail``
+        forward_degree = np.add.reduceat(up, first, dtype=np.int64)
+        forward_first = forward_degree.cumsum() - forward_degree  # and in ``tail[up]``
+        bounds = head_level.searchsorted(np.arange(1, head_level.max(initial=0) + 2))
         node = heads % n
         words = n // 64 + 1
-        own_word = np.arange(rows) * words + (node >> 6)
+        sizes = bounds[1:] - bounds[:-1]  # the rows of each level
         # per level: first row, end row, the pred rows of each slot j (the
         # j-th predecessors of the level's rows of in-degree > j, a prefix of
         # them) and the flat index of each row's own bit within the level
-        levels = []
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            slots = []
-            for j in range(int(degree[lo])):
-                width = int(np.count_nonzero(degree[lo:hi] > j))
-                slots.append(tail[first[lo : lo + width] + j])
-            levels.append((lo, hi, slots, own_word[lo:hi] - lo * words))
+        own = (np.arange(rows) - bounds[:-1].repeat(sizes)) * words + (node >> 6)
+        levels = [(lo, hi, slots, own[lo:hi]) for lo, hi, slots in _slots(tail, first, degree, bounds)]
+        # per level, the level's rows by falling forward in-degree and the
+        # pred rows of each slot of their predecessors one level up alone
+        at = np.lexsort((-forward_degree, head_level))
+        forward = [
+            (at[lo:hi], slots)
+            for lo, hi, slots in _slots(tail[up], forward_first[at], forward_degree[at], bounds)
+        ]
         return _DomTable(
             base=base,
             pos=pos[:root].reshape(s, n),
@@ -331,7 +372,8 @@ class IcDominatorEvaluator(BfsEvaluator):
             node=node,
             bit=_bit(node),
             levels=levels,
-            widest=int(np.diff(bounds).max(initial=0)),
+            forward=forward,
+            widest=int(sizes.max(initial=0)),
         )
 
     def gains(self, S) -> np.ndarray:
@@ -363,28 +405,30 @@ class IcDominatorEvaluator(BfsEvaluator):
         where = table.pos[:, list(S)].ravel()
         blocked[where[where >= 0]] = True
         dom, open_rows = self._dominator_sets(table, blocked)
-        reached = (dom[:, n >> 6] & _bit(n)) == 0
-        r = np.flatnonzero(reached)
+        reached = (dom[:, n >> 6] & np.uint64(1 << (n & 63))) == 0
+        r = reached.nonzero()[0]
         saved = n - np.bincount(table.topo[r], minlength=s)
         if not candidates:
             return saved, np.zeros((s, 0), dtype=np.int64)
         # v's gain on topology t is the number of reached rows of t whose Dom
         # holds v: each reached row holds its own node, and only an open row
         # can hold more, its strict dominators
-        o = np.flatnonzero(reached & open_rows)
-        strict = dom[o]
+        o = (reached & open_rows).nonzero()[0]
+        strict = dom.take(o, axis=0)
         strict.reshape(-1)[np.arange(len(o)) * dom.shape[1] + (table.node[o] >> 6)] ^= table.bit[o]
-        row, word = np.nonzero(strict)
+        row, word = strict.nonzero()
         value = strict[row, word]
         at = table.topo[o[row]] * n + word * 64  # the key of each word's bit 0
-        keys = [table.topo[r] * n + table.node[r]]
+        keys = [at[:0]]  # empty, for a pass in which no row has a strict dominator
         while len(value):  # peel off each word's lowest set bit until none is left
-            low = value & (~value + np.uint64(1))
-            keys.append(at + np.bitwise_count(low - np.uint64(1)))
+            low = value & -value  # two's complement on uint64
+            keys.append(at + np.bitwise_count(low - 1))
             value ^= low
-            more = value != 0
+            more = value.nonzero()[0]
             value, at = value[more], at[more]
-        gain_counts = np.bincount(np.concatenate(keys), minlength=s * n).reshape(s, n)
+        gain_counts = np.bincount(np.concatenate(keys), minlength=s * n)
+        gain_counts[table.topo[r] * n + table.node[r]] += 1  # one key per reached row
+        gain_counts = gain_counts.reshape(s, n)
         gain_counts[:, self.infected] = 0
         return saved, gain_counts[:, candidates]
 
@@ -393,42 +437,59 @@ class IcDominatorEvaluator(BfsEvaluator):
         vaccinated, and the mask of the rows left open after the second sweep.
 
         Values only shrink from all ones, and a reached row's value holds at
-        least its own bit.  So after the second sweep, the first that reads
-        every predecessor's swept value, a vaccinated row and a row at its
-        own bit alone are settled for good; later sweeps visit only the open
-        rows, with each level's predecessor slots cut down to them once.
+        least its own bit.  In the first sweep a predecessor at the row's own
+        level or above is not yet swept, so it would read all ones, the
+        identity of the AND: the sweep reads only the predecessors one level
+        up, which every row has, as BFS levels are defined, so the table
+        starts unset and every row is written before it is read.  After the
+        second sweep, the first that reads every predecessor's swept value,
+        a vaccinated row and a row at its own bit alone are settled for
+        good; later sweeps visit only the open rows, with each level's
+        predecessor slots cut down to them once.
         """
         ones = ~np.uint64(0)
         words = self.n // 64 + 1
-        dom = np.full((len(blocked) + 1, words), ones)
+        dom = np.empty((len(blocked) + 1, words), dtype=np.uint64)
         dom[-1] = 0  # the super-source's row: reached, dominated by nothing
         acc_buf = np.empty((table.widest, words), dtype=np.uint64)
         part_buf = np.empty_like(acc_buf)
+        # one void item per row, so that rows at scattered positions are set
+        # by a 1-D index, which is faster than a 2-D one
+        as_rows = np.dtype((np.void, dom.itemsize * words))
+        dom_rows, acc_rows = dom.view(as_rows).ravel(), acc_buf.view(as_rows).ravel()
 
-        def sweep(levels) -> bool:
-            """One Gauss-Seidel sweep over ``levels``; True if it changed a row."""
-            changed = False
-            for rows, slots, own, bit, vaccinated in levels:
-                # mode="clip" writes straight into ``out`` ("raise" buffers);
-                # the indices are in range by construction
-                acc = acc_buf[: len(bit)]
-                np.take(dom, slots[0], axis=0, out=acc, mode="clip")
-                for preds in slots[1:]:
-                    part = part_buf[: len(preds)]
-                    np.take(dom, preds, axis=0, out=part, mode="clip")
-                    acc[: len(preds)] &= part
-                acc.reshape(-1)[own] |= bit
-                acc[vaccinated] = ones
-                changed = changed or not np.array_equal(acc, dom[rows])
-                dom[rows] = acc
-            return changed
+        def meet(slots, width) -> np.ndarray:
+            """The AND over each slot's pred rows, in the first ``width`` rows of the buffer."""
+            # mode="clip" writes straight into ``out`` ("raise" buffers); the
+            # indices are in range by construction
+            acc = acc_buf[:width]
+            dom.take(slots[0], axis=0, out=acc, mode="clip")
+            for preds in slots[1:]:
+                part = part_buf[: len(preds)]
+                dom.take(preds, axis=0, out=part, mode="clip")
+                acc[: len(preds)] &= part
+            return acc
 
-        every = [
-            (slice(lo, hi), slots, own, table.bit[lo:hi], blocked[lo:hi])
-            for lo, hi, slots, own in table.levels
-        ]
-        sweep(every)
-        changed = sweep(every)
+        vaccinated = blocked.nonzero()[0]  # split by level below
+        cuts = vaccinated.searchsorted([lo for lo, _, _, _ in table.levels[1:]]).tolist()
+        by_level = [vaccinated[a:b] for a, b in zip([0, *cuts], [*cuts, len(vaccinated)])]
+        # sweep 1: a row reads only its preds one level up; every other pred
+        # is not yet swept and still all ones, which leaves the AND unchanged
+        for (lo, hi, _, own), (rows, slots), vac in zip(table.levels, table.forward, by_level):
+            meet(slots, hi - lo)  # into the buffer, in the order of ``rows``
+            dom_rows[rows] = acc_rows[: hi - lo]
+            dom[lo:hi].reshape(-1)[own] |= table.bit[lo:hi]
+            if len(vac):
+                dom[vac] = ones
+        # sweep 2, over every row
+        changed = False
+        for (lo, hi, slots, own), vac in zip(table.levels, by_level):
+            acc = meet(slots, hi - lo)
+            acc.reshape(-1)[own] |= table.bit[lo:hi]
+            if len(vac):
+                acc[vac - lo] = ones
+            changed = changed or bool((acc != dom[lo:hi]).any())
+            dom[lo:hi] = acc
         # a row that is not vaccinated always holds its own bit, so it is at
         # its own bit alone when it holds one bit; counted word by word,
         # which is faster than a reduction along the short axis
@@ -436,31 +497,37 @@ class IcDominatorEvaluator(BfsEvaluator):
         for w in range(words):
             held += np.bitwise_count(dom[:-1, w])
         open_rows = ~blocked & (held > 1)
-        if changed:
-            narrowed = self._open_levels(table, blocked, open_rows)
-            while sweep(narrowed):
-                pass
+        narrowed = self._open_levels(table, open_rows) if changed else []
+        while changed:  # later sweeps, over the open rows, none of them vaccinated
+            changed = False
+            for rows, slots, own, bit in narrowed:
+                acc = meet(slots, len(rows))
+                acc.reshape(-1)[own] |= bit
+                if not changed:
+                    old = dom.take(rows, axis=0, out=part_buf[: len(rows)], mode="clip")
+                    changed = bool((acc != old).any())
+                dom_rows[rows] = acc_rows[: len(rows)]
         return dom[:-1], open_rows
 
-    def _open_levels(self, table, blocked, open_rows) -> list:
-        """The levels of ``table`` cut down to the rows in ``open_rows``, as the sweeps read them.
+    def _open_levels(self, table, open_rows) -> list:
+        """The levels of ``table`` cut down to the rows in ``open_rows``, as the
+        sweeps read them: row positions, pred rows per slot, own-bit indices and bits.
 
         Slot j of a level holds a prefix of the level's rows, so it also
-        holds a prefix of the level's open rows.
+        holds a prefix of the level's open rows.  No open row is vaccinated.
         """
         words = self.n // 64 + 1
         levels = []
         for lo, hi, slots, _ in table.levels:
-            keep = np.flatnonzero(open_rows[lo:hi])
+            keep = open_rows[lo:hi].nonzero()[0]
             if len(keep):
-                widths = np.searchsorted(keep, [len(preds) for preds in slots]).tolist()
+                widths = keep.searchsorted([len(preds) for preds in slots]).tolist()
                 rows = lo + keep
                 levels.append((
                     rows,
                     [preds[keep[:w]] for preds, w in zip(slots, widths) if w],
                     np.arange(len(keep)) * words + (table.node[rows] >> 6),
                     table.bit[rows],
-                    blocked[rows],
                 ))
         return levels
 

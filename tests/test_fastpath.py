@@ -33,7 +33,14 @@ from netvax import (
 )
 from netvax.bench import build_instance
 from netvax.errors import ContractViolationError, ModelMismatchError
-from netvax.fastpath import BfsEvaluator, IcDominatorEvaluator, LtChainEvaluator, make_evaluator
+from netvax.fastpath import (
+    BfsEvaluator,
+    IcDominatorEvaluator,
+    LtChainEvaluator,
+    _stable_order,
+    make_evaluator,
+)
+from netvax.topology import flowgraph
 
 
 def naive_gains(instance, S):
@@ -578,12 +585,21 @@ def test_dominator_kernel_matches_networkx(case):
 
 def test_narrowed_sweeps_match_sweeps_over_every_row_along_greedy(monkeypatch):
     # after the second sweep the kernel sweeps only its open rows; sweeping
-    # every row instead must give the same answers bit for bit
+    # every row that is not vaccinated instead must give the same answers
+    # bit for bit
     cfg = ExperimentConfig(
         model=IC, generator="waxman", n=128, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
     )
     inst = build_instance(cfg, 0)
     open_levels = IcDominatorEvaluator._open_levels
+    dominator_sets = IcDominatorEvaluator._dominator_sets
+    vaccinated = []  # the vaccinated rows of each pass
+
+    def note_vaccinated(self, table, blocked):
+        vaccinated.append(blocked)
+        return dominator_sets(self, table, blocked)
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_sets", note_vaccinated)
 
     def trajectory():
         fast = IcDominatorEvaluator(inst)
@@ -596,17 +612,17 @@ def test_narrowed_sweeps_match_sweeps_over_every_row_along_greedy(monkeypatch):
             S.add(int(np.argmax(gains)))
         return out
 
-    def every_row(self, table, blocked, open_rows):
-        return open_levels(self, table, blocked, np.ones_like(open_rows))
+    def every_row(self, table, open_rows):
+        return open_levels(self, table, ~vaccinated[-1])
 
     with monkeypatch.context() as m:
         m.setattr(IcDominatorEvaluator, "_open_levels", every_row)
         expected = trajectory()
     settled = []  # per narrowing: the rows it leaves out that are not vaccinated
 
-    def spy(self, table, blocked, open_rows):
-        settled.append(int(np.count_nonzero(~blocked & ~open_rows)))
-        return open_levels(self, table, blocked, open_rows)
+    def spy(self, table, open_rows):
+        settled.append(int(np.count_nonzero(~vaccinated[-1] & ~open_rows)))
+        return open_levels(self, table, open_rows)
 
     monkeypatch.setattr(IcDominatorEvaluator, "_open_levels", spy)
     got = trajectory()
@@ -617,6 +633,127 @@ def test_narrowed_sweeps_match_sweeps_over_every_row_along_greedy(monkeypatch):
             assert np.array_equal(a[0], b[0]) and a[1] == b[1]
         else:
             assert np.array_equal(a, b)
+
+
+def sweeps_from_all_ones(table, blocked, words):
+    """Dom sets and the rows open after the second sweep, from sweeps over
+    every row that read every predecessor, starting from an all-ones table,
+    until one changes nothing."""
+    ones = ~np.uint64(0)
+    dom = np.full((len(blocked) + 1, words), ones)
+    dom[-1] = 0
+
+    def sweep():
+        changed = False
+        for lo, hi, slots, own in table.levels:
+            acc = dom[slots[0]]
+            for preds in slots[1:]:
+                acc[: len(preds)] &= dom[preds]
+            acc.reshape(-1)[own] |= table.bit[lo:hi]
+            acc[blocked[lo:hi]] = ones
+            changed |= not np.array_equal(acc, dom[lo:hi])
+            dom[lo:hi] = acc
+        return changed
+
+    sweep()
+    changed = sweep()
+    held = sum(np.bitwise_count(dom[:-1, w]).astype(np.int64) for w in range(words))
+    open_rows = ~blocked & (held > 1)
+    while changed:
+        changed = sweep()
+    return dom[:-1], open_rows
+
+
+def test_forward_first_sweep_matches_a_first_sweep_over_every_pred_along_greedy(monkeypatch):
+    # the first sweep reads only the preds one level up, into an unset
+    # table; the Dom sets and open rows must equal those of a first sweep
+    # over every pred from all ones, bit for bit
+    cfg = ExperimentConfig(
+        model=IC, generator="waxman", n=128, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
+    )
+    inst = build_instance(cfg, 0)
+    dominator_sets = IcDominatorEvaluator._dominator_sets
+    checked = []
+
+    def compare(self, table, blocked):
+        dom, open_rows = dominator_sets(self, table, blocked)
+        ref_dom, ref_open = sweeps_from_all_ones(table, blocked, self.n // 64 + 1)
+        assert np.array_equal(dom, ref_dom) and np.array_equal(open_rows, ref_open)
+        checked.append(int(np.count_nonzero(blocked)))
+        return dom, open_rows
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_sets", compare)
+    fast = IcDominatorEvaluator(inst)
+    S = set()
+    for _ in range(12):
+        gains = fast.gains(S)
+        if S:
+            fast.swap_totals(S, neighbor_mask(inst, S))
+        S.add(int(np.argmax(gains)))
+    assert len(checked) > 12 and max(checked) > 0
+
+
+def assert_table_levels(inst, table):
+    """Check the level lists of a ``_DomTable`` against its flowgraph.
+
+    Level 1 holds exactly the seed rows; each row's forward slot entries are
+    its predecessors one level up, at least one; and the slots of
+    ``levels`` are those of predecessors grouped by a stable argsort.
+    """
+    n, s = inst.n, len(inst.topologies)
+    rows = len(table.node)
+    tail, head, level = flowgraph(
+        inst.topologies.stacked_edges(), s, n, sorted(inst.infected), vaccinated=sorted(table.base)
+    )
+    pos = np.append(table.pos.ravel(), rows)  # the super-source's row is the last
+    if inst.infected:
+        lo, hi = table.levels[0][:2]
+        seeds = {(t, v) for t in range(s) for v in inst.infected}
+        assert set(zip(table.topo[lo:hi].tolist(), table.node[lo:hi].tolist())) == seeds
+    up = {}
+    for a, b in zip(tail.tolist(), head.tolist()):
+        if level[a] + 1 == level[b]:
+            up.setdefault(int(pos[b]), []).append(int(pos[a]))
+    assert len(table.forward) == len(table.levels)
+    for (lo, hi, _, _), (order, slots) in zip(table.levels, table.forward):
+        assert sorted(order.tolist()) == list(range(lo, hi))
+        got = {int(r): [] for r in order}
+        for preds in slots:
+            for r, p in zip(order.tolist(), preds.tolist()):
+                got[r].append(p)
+        for r, preds in got.items():
+            assert preds and sorted(preds) == sorted(up[r])
+    # the reference grouping: a stable argsort of the edges by head row
+    by_head = np.argsort(pos[head], kind="stable")
+    grouped = pos[tail[by_head]]
+    degree = np.bincount(pos[head], minlength=rows)
+    first = np.cumsum(degree) - degree
+    for lo, hi, slots, _ in table.levels:
+        assert len(slots) == degree[lo]
+        for j, preds in enumerate(slots):
+            width = int(np.count_nonzero(degree[lo:hi] > j))
+            assert np.array_equal(preds, grouped[first[lo : lo + width] + j])
+
+
+@settings(max_examples=60)
+@given(inst=cyclic_ic_instances(), seed=st.integers(0, 2**20))
+def test_table_levels_hold_seeds_forward_preds_and_edge_order(inst, seed):
+    fast = IcDominatorEvaluator(inst)
+    assert_table_levels(inst, fast._full)
+    rng = np.random.default_rng(seed)
+    cands = inst.candidates()
+    count = int(rng.integers(len(cands) + 1))
+    base = frozenset(int(v) for v in rng.choice(cands, size=count, replace=False))
+    assert_table_levels(inst, fast._table(base))
+
+
+@pytest.mark.parametrize("bound", [1, 5, 2**16, 2**16 + 1, 2**31])
+def test_stable_order_matches_a_stable_argsort(bound):
+    rng = np.random.default_rng(bound)
+    for size in (0, 1, 1000):
+        keys = rng.integers(0, bound, size=size)
+        keys[: size // 2] = keys[size // 2 :][: size // 2]  # repeated keys keep their order
+        assert np.array_equal(_stable_order(keys, bound), np.argsort(keys, kind="stable"))
 
 
 def test_no_dom_table_on_lt_and_no_one_sweep_on_ic_back_edge():
