@@ -34,6 +34,9 @@ from netvax import (
 from netvax.bench import build_instance
 from netvax.errors import ContractViolationError, ModelMismatchError
 from netvax.fastpath import (
+    _CERT,
+    _DEAD,
+    _VAC,
     BfsEvaluator,
     IcDominatorEvaluator,
     LtChainEvaluator,
@@ -583,106 +586,115 @@ def test_dominator_kernel_matches_networkx(case):
         assert np.array_equal(gain_counts[t], expected_counts)
 
 
-def test_narrowed_sweeps_match_sweeps_over_every_row_along_greedy(monkeypatch):
-    # after the second sweep the kernel sweeps only its open rows; sweeping
-    # every row that is not vaccinated instead must give the same answers
-    # bit for bit
-    cfg = ExperimentConfig(
-        model=IC, generator="waxman", n=128, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
-    )
-    inst = build_instance(cfg, 0)
-    open_levels = IcDominatorEvaluator._open_levels
-    dominator_sets = IcDominatorEvaluator._dominator_sets
-    vaccinated = []  # the vaccinated rows of each pass
-
-    def note_vaccinated(self, table, blocked):
-        vaccinated.append(blocked)
-        return dominator_sets(self, table, blocked)
-
-    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_sets", note_vaccinated)
-
-    def trajectory():
-        fast = IcDominatorEvaluator(inst)
-        S, out = set(), []
-        for _ in range(12):
-            gains = fast.gains(S)
-            out.append((gains, fast.per_topology_saved(S)))
-            if S:
-                out.append(fast.swap_totals(S, neighbor_mask(inst, S)))
-            S.add(int(np.argmax(gains)))
-        return out
-
-    def every_row(self, table, open_rows):
-        return open_levels(self, table, ~vaccinated[-1])
-
-    with monkeypatch.context() as m:
-        m.setattr(IcDominatorEvaluator, "_open_levels", every_row)
-        expected = trajectory()
-    settled = []  # per narrowing: the rows it leaves out that are not vaccinated
-
-    def spy(self, table, open_rows):
-        settled.append(int(np.count_nonzero(~vaccinated[-1] & ~open_rows)))
-        return open_levels(self, table, open_rows)
-
-    monkeypatch.setattr(IcDominatorEvaluator, "_open_levels", spy)
-    got = trajectory()
-    assert settled and min(settled) > 0
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        if isinstance(a, tuple):
-            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-        else:
-            assert np.array_equal(a, b)
-
-
 def sweeps_from_all_ones(table, blocked, words):
-    """Dom sets and the rows open after the second sweep, from sweeps over
-    every row that read every predecessor, starting from an all-ones table,
-    until one changes nothing."""
+    """The Dom sets of every row of ``table`` with the rows in ``blocked``
+    vaccinated, from sweeps over every row that read every predecessor,
+    starting from an all-ones table, until one changes nothing."""
     ones = ~np.uint64(0)
-    dom = np.full((len(blocked) + 1, words), ones)
-    dom[-1] = 0
-
-    def sweep():
-        changed = False
-        for lo, hi, slots, own in table.levels:
-            acc = dom[slots[0]]
-            for preds in slots[1:]:
-                acc[: len(preds)] &= dom[preds]
-            acc.reshape(-1)[own] |= table.bit[lo:hi]
-            acc[blocked[lo:hi]] = ones
-            changed |= not np.array_equal(acc, dom[lo:hi])
-            dom[lo:hi] = acc
-        return changed
-
-    sweep()
-    changed = sweep()
-    held = sum(np.bitwise_count(dom[:-1, w]).astype(np.int64) for w in range(words))
-    open_rows = ~blocked & (held > 1)
-    while changed:
-        changed = sweep()
-    return dom[:-1], open_rows
+    rows = len(blocked)
+    dom = np.full((rows + 1, words), ones)
+    dom[-1] = 0  # the super-source
+    own = np.zeros((rows, words), dtype=np.uint64)
+    own[np.arange(rows), table.node >> 6] = table.bit
+    while rows:
+        acc = np.bitwise_and.reduceat(dom[table.preds], table.first[:-1], axis=0) | own
+        acc[blocked] = ones
+        if np.array_equal(acc, dom[:-1]):
+            break
+        dom[:-1] = acc
+    return dom[:-1]
 
 
-def test_forward_first_sweep_matches_a_first_sweep_over_every_pred_along_greedy(monkeypatch):
-    # the first sweep reads only the preds one level up, into an unset
-    # table; the Dom sets and open rows must equal those of a first sweep
-    # over every pred from all ones, bit for bit
+def pred_lists(table):
+    """Each row's predecessor rows, as lists."""
+    first, degree = table.first[:-1].tolist(), table.degree[:-1].tolist()
+    return [table.preds[f : f + d].tolist() for f, d in zip(first, degree)]
+
+
+def least_certified(table, blocked):
+    """The rows that the two-certified-predecessors rule reaches from the
+    seed rows, round by round, with the rows in ``blocked`` left out."""
+    rows = len(blocked)
+    cert = np.zeros(rows + 1, dtype=bool)
+    cert[-1] = True  # the super-source, the seeds' one predecessor
+    seeds = (table.degree[:-1] == 1) & (table.preds[table.first[:-1]] == rows)
+    entry_row = np.repeat(np.arange(rows), table.degree[:-1])
+    while True:
+        count = np.bincount(entry_row, weights=cert[table.preds], minlength=rows)
+        now = np.append(((count >= 2) | seeds) & ~blocked, True)
+        if np.array_equal(now, cert):
+            return cert[:-1]
+        cert = now
+
+
+def vaccinated_rows(table, S):
+    blocked = np.zeros(len(table.node), dtype=bool)
+    where = table.pos[:, sorted(S)].ravel()
+    blocked[where[where >= 0]] = True
+    return blocked
+
+
+def assert_state_matches_references(inst, fast, table, S):
+    """A table's state under S against sweeps from all ones and a fresh
+    certification: Dom sets bit for bit, each row's kind, sound and acyclic
+    certificates on two predecessors, and the counts."""
+    n, s = inst.n, len(inst.topologies)
+    rows = len(table.node)
+    blocked = vaccinated_rows(table, S)
+    ref = sweeps_from_all_ones(table, blocked, n // 64 + 1)
+    assert table.vaccinated == S
+    assert np.array_equal(table.dom[:-1], ref)
+    unreached = (ref[:, n >> 6] >> np.uint64(n & 63)) & np.uint64(1) == 1
+    kind = table.kind[:-1]
+    assert np.array_equal(kind == _VAC, blocked)
+    assert np.array_equal(kind == _DEAD, unreached & ~blocked)
+    # certified rows: their own bit alone, exactly the rule's rows, each on
+    # two distinct certified predecessors, with no cycle among witnesses
+    certified = (kind == _CERT).nonzero()[0]
+    own = np.zeros((len(certified), ref.shape[1]), dtype=np.uint64)
+    own[np.arange(len(certified)), table.node[certified] >> 6] = table.bit[certified]
+    assert np.array_equal(ref[certified], own)
+    assert np.array_equal(kind == _CERT, least_certified(table, blocked))
+    preds = pred_lists(table)
+    for r in certified.tolist():
+        if preds[r] == [rows]:  # a seed: its one predecessor is the super-source
+            continue
+        a, b = table.witness[r].tolist()
+        assert a != b and a in preds[r] and b in preds[r]
+        assert table.kind[a] == table.kind[b] == _CERT
+    done = np.zeros(rows + 1, dtype=bool)
+    done[rows] = True
+    pending = certified
+    while len(pending):  # peel off the certified rows whose witnesses are done
+        ready = done[table.witness[pending]].all(axis=1)
+        assert ready.any(), "the witness graph has a cycle"
+        done[pending[ready]] = True
+        pending = pending[~ready]
+    # per (t, v) the reached rows of t whose Dom holds v, then per t its reached rows
+    live = ~unreached & ~blocked
+    holds = np.unpackbits(ref[live].view(np.uint8), axis=1, bitorder="little")[:, :n]
+    per_node = np.zeros((s, n), dtype=np.int64)
+    np.add.at(per_node, table.topo[live], holds)
+    counts = np.concatenate([per_node.ravel(), np.bincount(table.topo[live], minlength=s)])
+    assert np.array_equal(table.counts, counts)
+
+
+def ic128_greedy_with_swap_passes(monkeypatch, check):
+    """12 greedy steps at IC n=128, s=50, with a local-search swap pass after
+    each; ``check(inst, fast, table, S)`` runs after every pass."""
     cfg = ExperimentConfig(
         model=IC, generator="waxman", n=128, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
     )
     inst = build_instance(cfg, 0)
-    dominator_sets = IcDominatorEvaluator._dominator_sets
-    checked = []
+    move = IcDominatorEvaluator._move
+    moves = []
 
-    def compare(self, table, blocked):
-        dom, open_rows = dominator_sets(self, table, blocked)
-        ref_dom, ref_open = sweeps_from_all_ones(table, blocked, self.n // 64 + 1)
-        assert np.array_equal(dom, ref_dom) and np.array_equal(open_rows, ref_open)
-        checked.append(int(np.count_nonzero(blocked)))
-        return dom, open_rows
+    def checked_move(self, table, S):
+        move(self, table, S)
+        moves.append(len(S))
+        check(inst, self, table, S)
 
-    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_sets", compare)
+    monkeypatch.setattr(IcDominatorEvaluator, "_move", checked_move)
     fast = IcDominatorEvaluator(inst)
     S = set()
     for _ in range(12):
@@ -690,61 +702,187 @@ def test_forward_first_sweep_matches_a_first_sweep_over_every_pred_along_greedy(
         if S:
             fast.swap_totals(S, neighbor_mask(inst, S))
         S.add(int(np.argmax(gains)))
-    assert len(checked) > 12 and max(checked) > 0
+    assert len(moves) > 12 and max(moves) > 0
+    return fast
 
 
-def assert_table_levels(inst, table):
-    """Check the level lists of a ``_DomTable`` against its flowgraph.
+def test_dom_tables_match_sweeps_from_all_ones_along_greedy_and_swaps(monkeypatch):
+    # a pass sweeps only the open rows downstream of what changed and reads
+    # the certified rows as constants; every table's Dom sets, kinds,
+    # certificates and counts must be those of sweeps over every row from
+    # all ones and of a fresh certification, bit for bit
+    swept = []
+    sweep = IcDominatorEvaluator._sweep
 
-    Level 1 holds exactly the seed rows; each row's forward slot entries are
-    its predecessors one level up, at least one; and the slots of
-    ``levels`` are those of predecessors grouped by a stable argsort.
-    """
+    def noted_sweep(self, table, rows):
+        swept.append(len(rows) / len(table.node))
+        return sweep(self, table, rows)
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_sweep", noted_sweep)
+    fast = ic128_greedy_with_swap_passes(monkeypatch, assert_state_matches_references)
+    assert fast._compact is not fast._full
+    assert np.median(swept) < 0.25  # most passes sweep a small part of the table
+
+
+def test_certificates_cover_most_rows_at_their_own_bit_along_greedy_and_swaps(monkeypatch):
+    # solving with the certified rows fixed at their own bit must give the
+    # greatest fixpoint, so every certified row is its own bit alone under
+    # sweeps from all ones; and certificates must cover most such rows
+    covered = []
+
+    def check(inst, fast, table, S):
+        blocked = vaccinated_rows(table, S)
+        ref = sweeps_from_all_ones(table, blocked, inst.n // 64 + 1)
+        certified = table.kind[:-1] == _CERT
+        alone = np.bitwise_count(ref).sum(axis=1) == 1
+        assert np.all(alone[certified])
+        covered.append(np.count_nonzero(certified) / max(np.count_nonzero(alone & ~blocked), 1))
+
+    ic128_greedy_with_swap_passes(monkeypatch, check)
+    assert min(covered) > 0.5
+
+
+def assert_same_table(got, want):
+    fields = ("base", "pos", "topo", "node", "bit", "preds", "first", "degree", "succs", "out_first", "out_degree")
+    for field in fields:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def assert_table_lists(inst, table):
+    """Check a ``_DomTable`` against its flowgraph: its rows are the reached
+    ones in row id order, each row's predecessors are the tails of the edges
+    into it in edge order, at least one, each row's successors are the heads
+    of the edges out of it in edge order, and the seeds' one predecessor is
+    the super-source."""
     n, s = inst.n, len(inst.topologies)
-    rows = len(table.node)
     tail, head, level = flowgraph(
         inst.topologies.stacked_edges(), s, n, sorted(inst.infected), vaccinated=sorted(table.base)
     )
+    heads = np.flatnonzero(level[: s * n] >= 0)
+    rows = len(heads)
+    assert np.array_equal(table.topo.astype(np.int64) * n + table.node, heads)
     pos = np.append(table.pos.ravel(), rows)  # the super-source's row is the last
-    if inst.infected:
-        lo, hi = table.levels[0][:2]
-        seeds = {(t, v) for t in range(s) for v in inst.infected}
-        assert set(zip(table.topo[lo:hi].tolist(), table.node[lo:hi].tolist())) == seeds
-    up = {}
-    for a, b in zip(tail.tolist(), head.tolist()):
-        if level[a] + 1 == level[b]:
-            up.setdefault(int(pos[b]), []).append(int(pos[a]))
-    assert len(table.forward) == len(table.levels)
-    for (lo, hi, _, _), (order, slots) in zip(table.levels, table.forward):
-        assert sorted(order.tolist()) == list(range(lo, hi))
-        got = {int(r): [] for r in order}
-        for preds in slots:
-            for r, p in zip(order.tolist(), preds.tolist()):
-                got[r].append(p)
-        for r, preds in got.items():
-            assert preds and sorted(preds) == sorted(up[r])
-    # the reference grouping: a stable argsort of the edges by head row
-    by_head = np.argsort(pos[head], kind="stable")
-    grouped = pos[tail[by_head]]
-    degree = np.bincount(pos[head], minlength=rows)
-    first = np.cumsum(degree) - degree
-    for lo, hi, slots, _ in table.levels:
-        assert len(slots) == degree[lo]
-        for j, preds in enumerate(slots):
-            width = int(np.count_nonzero(degree[lo:hi] > j))
-            assert np.array_equal(preds, grouped[first[lo : lo + width] + j])
+    assert np.array_equal(pos[heads], np.arange(rows))
+    want_preds, want_succs = [[] for _ in range(rows)], [[] for _ in range(rows + 1)]
+    for a, b in zip(pos[tail].tolist(), pos[head].tolist()):
+        want_preds[b].append(a)
+        want_succs[a].append(b)
+    assert pred_lists(table) == want_preds and all(want_preds)
+    first, degree = table.out_first.tolist(), table.out_degree.tolist()
+    succs = [table.succs[f : f + d].tolist() for f, d in zip(first, degree)]
+    assert succs == want_succs
+    seeds = {(t, v) for t in range(s) for v in inst.infected}
+    assert {(int(table.topo[r]), int(table.node[r])) for r in want_succs[rows]} == seeds
 
 
 @settings(max_examples=60)
 @given(inst=cyclic_ic_instances(), seed=st.integers(0, 2**20))
-def test_table_levels_hold_seeds_forward_preds_and_edge_order(inst, seed):
+def test_tables_hold_reached_rows_with_preds_and_succs_in_edge_order(inst, seed):
     fast = IcDominatorEvaluator(inst)
-    assert_table_levels(inst, fast._full)
+    assert_table_lists(inst, fast._full)
     rng = np.random.default_rng(seed)
     cands = inst.candidates()
     count = int(rng.integers(len(cands) + 1))
     base = frozenset(int(v) for v in rng.choice(cands, size=count, replace=False))
-    assert_table_levels(inst, fast._table(base))
+    assert_table_lists(inst, fast._table(base))
+
+
+@settings(max_examples=60)
+@given(case=st.one_of(dominator_cases(), cyclic_ic_cases()), seed=st.integers(0, 2**20))
+def test_shrunk_tables_equal_fresh_ones_with_sound_certificates(case, seed):
+    # a compact table cut from a table whose state is at W equals the table
+    # built under W, and the state it carries over equals the state a fresh
+    # table reaches under W: certificates, Dom sets and counts
+    inst, S = case
+    if inst.graph.model != IC:
+        return
+    fast = IcDominatorEvaluator(inst)
+    rng = np.random.default_rng(seed)
+    cands = inst.candidates()
+    # reach S by way of another set, so that the state moves both ways
+    detour = frozenset(int(v) for v in rng.choice(cands, size=min(3, len(cands)), replace=False))
+    fast._counts(detour, ())
+    fast._counts(S, ())
+    shrunk = fast._shrink(fast._full)
+    fresh = fast._table(S)
+    assert_same_table(shrunk, fresh)
+    fast._move(fresh, S)
+    for field in ("kind", "dom", "counts"):
+        assert np.array_equal(getattr(shrunk, field), getattr(fresh, field)), field
+    assert_state_matches_references(inst, fast, shrunk, S)
+
+
+def test_compactions_along_greedy_carry_states_equal_to_fresh_ones(monkeypatch):
+    # greedy at IC n=512 compacts several times; each compact table and the
+    # state it carries over equal a fresh table's under the same set
+    cfg = ExperimentConfig(
+        model=IC, generator="waxman", n=512, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
+    )
+    inst = build_instance(cfg, 0)
+    shrink = IcDominatorEvaluator._shrink
+    checked = []
+
+    def checked_shrink(self, old):
+        new = shrink(self, old)
+        fresh = self._table(new.base)
+        assert_same_table(new, fresh)
+        self._move(fresh, new.base)
+        for field in ("kind", "dom", "counts"):
+            assert np.array_equal(getattr(new, field), getattr(fresh, field)), field
+        checked.append(len(new.node))
+        return new
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_shrink", checked_shrink)
+    fast = IcDominatorEvaluator(inst)
+    S = set()
+    for _ in range(160):
+        S.add(int(np.argmax(fast.gains(S))))
+    assert len(checked) >= 2
+
+
+@st.composite
+def query_sequences(draw):
+    """A dominator case and up to 8 queries on sets that grow, shrink, jump or repeat."""
+    inst, S = draw(st.one_of(dominator_cases(), cyclic_ic_cases()))
+    cands = inst.candidates()
+    steps = []
+    S = set(S)
+    for _ in range(draw(st.integers(1, 8))):
+        move = draw(st.sampled_from(["grow", "shrink", "jump", "repeat"]))
+        outside = [v for v in cands if v not in S]
+        if move == "grow" and outside:
+            S = S | set(draw(st.lists(st.sampled_from(outside), min_size=1, max_size=3, unique=True)))
+        elif move == "shrink" and S:
+            S = S - set(draw(st.lists(st.sampled_from(sorted(S)), min_size=1, max_size=3, unique=True)))
+        elif move == "jump":
+            S = set(draw(st.lists(st.sampled_from(cands), max_size=8, unique=True)))
+        query = draw(st.sampled_from(["gains", "totals_with", "per_topology_saved"]))
+        outside = [v for v in cands if v not in S]
+        ws = draw(st.lists(st.sampled_from(outside), max_size=6, unique=True)) if outside else []
+        steps.append((frozenset(S), query, ws))
+    return inst, steps
+
+
+@settings(max_examples=80)
+@given(query_sequences())
+def test_a_shared_structural_evaluator_answers_query_sequences_as_fresh_ones_and_bfs(sequence):
+    inst, steps = sequence
+    shared = make_evaluator(inst, "structural")
+    ref = BfsEvaluator(inst)
+    for S, query, ws in steps:
+        fresh = type(shared)(inst)
+        if query == "gains":
+            want = ref.gains(S)
+            assert np.array_equal(fresh.gains(S), want)
+            assert np.array_equal(shared.gains(S), want)
+        elif query == "totals_with":
+            want = list(ref.totals_with(S, ws))
+            assert list(fresh.totals_with(S, ws)) == want
+            assert list(shared.totals_with(S, ws)) == want
+        else:
+            want = ref.per_topology_saved(S)
+            assert fresh.per_topology_saved(S) == want
+            assert shared.per_topology_saved(S) == want
 
 
 @pytest.mark.parametrize("bound", [1, 5, 2**16, 2**16 + 1, 2**31])
@@ -809,20 +947,20 @@ def test_compacted_ic_table_matches_a_fresh_evaluator(monkeypatch):
     # holds the base only when v is not in it
     passes, tables = [], []
     dominator_pass = IcDominatorEvaluator._dominator_pass
-    dominator_sets = IcDominatorEvaluator._dominator_sets
+    move = IcDominatorEvaluator._move
 
     def spy_pass(self, S, candidates):
         if self is fast:
             passes.append(frozenset(S))
         return dominator_pass(self, S, candidates)
 
-    def spy_sets(self, table, blocked):
+    def spy_move(self, table, S):
         if self is fast:
             tables.append(table)
-        return dominator_sets(self, table, blocked)
+        return move(self, table, S)
 
     monkeypatch.setattr(IcDominatorEvaluator, "_dominator_pass", spy_pass)
-    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_sets", spy_sets)
+    monkeypatch.setattr(IcDominatorEvaluator, "_move", spy_move)
     rng = np.random.default_rng(0)
     base = fast._compact.base
     others = [v for v in inst.candidates() if v not in base]

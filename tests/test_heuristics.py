@@ -281,15 +281,22 @@ def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Calls of ``IcDominatorEvaluator._table``: its full table and every compact one."""
+    """The base of every table an ``IcDominatorEvaluator`` makes: its full
+    table from ``_table`` and every compact one from ``_shrink``."""
     calls = []
-    table = IcDominatorEvaluator._table
+    table, shrink = IcDominatorEvaluator._table, IcDominatorEvaluator._shrink
 
     def counted(self, base):
         calls.append(base)
         return table(self, base)
 
+    def counted_shrink(self, old):
+        new = shrink(self, old)
+        calls.append(new.base)
+        return new
+
     monkeypatch.setattr(IcDominatorEvaluator, "_table", counted)
+    monkeypatch.setattr(IcDominatorEvaluator, "_shrink", counted_shrink)
     return calls
 
 
