@@ -24,13 +24,13 @@ outside 0..n-1 or an infected one is a ``ContractViolationError``.  Only
   two predecessors that are, so a call certifies again and sweeps only the
   rows downstream of the nodes vaccinated or released since the last call,
   and moves the counts by the rows that changed; v's gain is the number
-  of reached rows whose dominator set holds v.  It keeps a second, smaller
-  table with only the rows still reached under part of greedy's set, cut
-  from the first as that set grows; every call on a superset of that part
-  reads it and gets the same counts.  An LT realization gives each node at
-  most one live parent, so its flowgraph is a forest and its own dominator
-  tree: a node's gain is its infected-subtree size, which prefix sums over
-  one fixed DFS preorder give directly.
+  of reached rows whose dominator set holds v.  The table has the rows
+  that the seeds reach when nothing is vaccinated, which serve every set,
+  and one state that every call moves, whichever query makes it.  An LT
+  realization gives each node at most one live parent, so its flowgraph
+  is a forest and its own dominator tree: a node's gain is its
+  infected-subtree size, which prefix sums over one fixed DFS preorder
+  give directly.
 
 A swap pass needs the totals of every ``(S - {v}) | {w}``: ``swap_totals(S,
 allowed)`` returns them as one (|S|, n) array, row i for the i-th node of
@@ -54,7 +54,6 @@ evaluator alive while a new one is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -164,10 +163,6 @@ class BfsEvaluator:
         floats match across evaluators; -inf where v is in S or infected.
         S is checked as ``totals_with`` checks ``base``.
         """
-        return self._gains(S)[0]
-
-    def _gains(self, S) -> tuple[np.ndarray, np.ndarray]:
-        """``gains(S)`` and the per-topology saved counts of S."""
         S = checked_nodes(S, self.n, self._infected_set)
         taken = np.zeros(self.n, dtype=bool)
         taken[list(S)] = True
@@ -177,7 +172,7 @@ class BfsEvaluator:
         out[candidates] = (
             weighted_total(gain_counts + saved[:, None], self.mu) - weighted_total(saved, self.mu)
         )
-        return out, saved
+        return out
 
     def swap_totals(self, S, allowed) -> np.ndarray:
         """Total saved of every swap ``(S - {v}) | {w}`` of S.
@@ -246,11 +241,7 @@ def _add_subtrees(size, rows, parent, depth) -> None:
         np.add.at(size, parent[group], size[rows[group]])
 
 
-# ``IcDominatorEvaluator.gains`` cuts its compact table down to the rows S
-# reaches once those fall below this share of the table's rows
-_COMPACT_BELOW = 0.8
-
-# What a ``_DomTable`` knows of a row under the vaccinated set of its last pass
+# What the dominator kernel knows of a row under the vaccinated set of its last pass
 _OPEN = 0  # swept: not certified, not vaccinated, not known to be unreached
 _CERT = 1  # certified: Dom is the row's own bit alone
 _VAC = 2  # vaccinated
@@ -272,38 +263,6 @@ def _ragged(first, count) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(end[-1] if len(end) else 0) + (first - start).repeat(count), start
 
 
-@dataclass(eq=False)
-class _DomTable:
-    """The dominator kernel's rows: every (topology, node) that some seed
-    reaches with ``base`` vaccinated, ordered by row id t * n + node, plus
-    the super-source's row at the end.
-
-    Vaccinating more nodes only removes paths, so a row that ``base`` leaves
-    unreached stays unreached under every S that contains ``base``, and the
-    table serves all of them.  The fields after ``out_degree`` are the
-    table's state under the vaccinated set of its last pass; they are None
-    until its first.
-    """
-
-    base: frozenset
-    pos: np.ndarray  # (s, n): the row of node u in topology t; -1 if it has none
-    topo: np.ndarray  # each row's topology
-    node: np.ndarray  # each row's node
-    bit: np.ndarray  # each row's node bit within its uint64 word
-    preds: np.ndarray  # every row's predecessor rows, in edge order, one row after another
-    first: np.ndarray  # each row's first entry in ``preds``
-    degree: np.ndarray  # each row's predecessors; at least one
-    succs: np.ndarray  # every row's successor rows, the super-source's (the seeds) included
-    out_first: np.ndarray  # each row's first entry in ``succs``
-    out_degree: np.ndarray  # each row's successors
-    vaccinated: frozenset | None = None  # W, the set of the last pass
-    kind: np.ndarray | None = None  # per row, _OPEN, _CERT, _VAC or _DEAD under W
-    witness: np.ndarray | None = None  # (rows + 1, 2): the two witnesses of each certified row
-    dom: np.ndarray | None = None  # the Dom table under W
-    # per t * n + v, the reached rows of t whose Dom holds v; then per t, its reached rows
-    counts: np.ndarray | None = None
-
-
 class IcDominatorEvaluator(BfsEvaluator):
     """Gains via dominator counts on the reachability flowgraph.
 
@@ -315,14 +274,16 @@ class IcDominatorEvaluator(BfsEvaluator):
     LT too, but LT has a cheaper kernel of its own; see ``LtChainEvaluator``.
 
     ``Dom(u)`` is a packed bitset of ``n // 64 + 1`` uint64 words, one row
-    per (topology, node) of a ``_DomTable``, plus the super-source's empty
-    row.  Bit n marks "not reached", so unreached and vaccinated rows are all
+    per (topology, node) that some seed reaches when nothing is vaccinated,
+    plus the super-source's empty row; ``_table`` builds the rows once.
+    Vaccinating nodes only removes paths, so these rows serve every set.
+    Bit n marks "not reached", so unreached and vaccinated rows are all
     ones and leave an AND unchanged.  Dom is the greatest solution, the limit
     of sweeps from all ones.
 
     Most rows need no sweep: if a row u that is not vaccinated has two
     predecessors a and b with ``Dom(a) = {a}`` and ``Dom(b) = {b}``, the AND
-    is empty and ``Dom(u) = {u}``.  Each table certifies rows by this rule in
+    is empty and ``Dom(u) = {u}``.  The kernel certifies rows by this rule in
     rounds, the seed rows first (their one predecessor is the super-source),
     each row on two witnesses certified in an earlier round, so the witness
     graph has no cycle and a certified row stays ``{u}`` under every S that
@@ -333,30 +294,19 @@ class IcDominatorEvaluator(BfsEvaluator):
     lies below the greatest, and sweeping down from all ones keeps the other
     rows above it.
 
-    A table keeps its Dom values, certificates and counts under the set W
-    of its last pass, and a pass to S touches only what S - W and W - S
-    change (``_move``).  Its region holds the open rows downstream of a
-    newly vaccinated or released row, through open rows, and the certified
-    rows whose witness chain holds one; the region is certified again in
-    rounds and its other rows are swept from all ones, every row outside it
-    read as a constant, and the counts move by the rows whose value
-    changed.  An open row's value depends only on the rows upstream of it
-    through open rows, so the rows outside the region keep their values.
-    Along greedy at IC n=512 the median region grows from about 270 rows
-    of 25,447 (60 of them swept) to about 950 of 16,226 (800 swept) late in
-    the run, when vaccination has left fewer rows with two certified
-    predecessors.
-
-    The evaluator keeps two tables.  ``_full`` has the rows reached when
-    nothing is vaccinated and serves every set.  ``_compact`` has the rows
-    reached under a vaccinated base B and serves every S that contains B,
-    with the same Dom sets on fewer rows.  Only ``gains`` moves it: greedy
-    calls it with a growing S, so a set without B starts a new run and
-    resets it to ``_full``, and once S leaves fewer than ``_COMPACT_BELOW``
-    of its rows reached it is cut down to the rows S reaches, state and all
-    (``_shrink``); the table it was cut from starts afresh if used again.
-    The swap passes never rebuild; a swapped set S - {v} still reads
-    ``_compact`` when v is not in B.
+    The evaluator keeps its Dom values, certificates and counts under the
+    set W of its last pass, whichever query made it, and a pass to S
+    touches only what S - W and W - S change (``_move``).  Its region holds
+    the open rows downstream of a newly vaccinated or released row, through
+    open rows, and the certified rows whose witness chain holds one; the
+    region is certified again in rounds and its other rows are swept from
+    all ones, every row outside it read as a constant, and the counts move
+    by the rows whose value changed.  An open row's value depends only on
+    the rows upstream of it through open rows, so the rows outside the
+    region keep their values.  Along greedy at IC n=512 the median region
+    grows from about 270 rows of 25,447 (60 of them swept) to about 950
+    (800 swept) late in the run, when vaccination has left fewer rows with
+    two certified predecessors.
     """
 
     name = "structural"
@@ -365,18 +315,23 @@ class IcDominatorEvaluator(BfsEvaluator):
         super().__init__(instance)
         self._words = self.n // 64 + 1
         self._far = (self.n >> 6, np.uint64(1 << (self.n & 63)))  # bit n: "not reached"
-        self._full = self._table(frozenset())
-        self._compact = self._full
-        self._slot = np.empty(len(self._full.node) + 1, dtype=np.intp)  # scratch of ``_certify``
+        self._table()
+        self._slot = np.empty(len(self._node) + 1, dtype=np.intp)  # scratch of ``_certify``
+        # the state under the set W of the last pass; None until the first
+        self._vaccinated: frozenset | None = None  # W
+        self._kind = None  # per row, _OPEN, _CERT, _VAC or _DEAD under W
+        self._witness = None  # (rows + 1, 2): the two witnesses of each certified row
+        self._dom = None  # the Dom table under W
+        # per t * n + v, the reached rows of t whose Dom holds v; then per t, its reached rows
+        self._tally = None
 
-    def _table(self, base: frozenset) -> _DomTable:
-        """The table of the rows that some seed reaches with ``base``
-        vaccinated, in row id order; its first pass sets its state."""
+    def _table(self) -> None:
+        """The kernel's rows: every (topology, node) that some seed reaches,
+        ordered by row id t * n + node, plus the super-source's row at the
+        end, with each row's predecessors and successors in edge order."""
         n, s = self.n, self.s
         root = s * n
-        tail, head, level = flowgraph(
-            self.instance.topologies.stacked_edges(), s, n, self.infected, vaccinated=sorted(base)
-        )
+        tail, head, level = flowgraph(self.instance.topologies.stacked_edges(), s, n, self.infected)
         heads = (level[:root] >= 0).nonzero()[0]
         rows = len(heads)
         pos = np.full(root + 1, -1, dtype=np.int32)
@@ -387,62 +342,22 @@ class IcDominatorEvaluator(BfsEvaluator):
         preds, head = pos[tail[by_head]], head[by_head]
         del tail
         by_tail = _stable_order(preds, rows + 1)
-        return _DomTable(
-            base, pos[:root].reshape(s, n), (heads // n).astype(np.int32), (heads % n).astype(np.int32),
-            _bit(heads % n), preds, *_offsets(head, rows + 1), head[by_tail], *_offsets(preds, rows + 1),
-        )
-
-    def _shrink(self, old) -> _DomTable:
-        """``old`` cut down to the rows that the set W of its state leaves
-        reached, with that state: the table ``_table(W)`` would build,
-        without a new flowgraph.  ``old`` gives its state up, so a later
-        pass on it starts afresh.
-
-        Those rows are the open and certified ones; they keep their order,
-        Dom values, kinds and witnesses, which are reached rows too.  An
-        edge stays, in its order, when both of its rows do.  The counts do
-        not change.
-        """
-        size = len(old.node)
-        kept = (old.kind[:-1] <= _CERT).nonzero()[0]  # _OPEN or _CERT
-        rows = len(kept)
-        at = np.full(size + 1, -1, dtype=np.int32)  # each old row's new row, or -1
-        at[kept] = np.arange(rows, dtype=np.int32)
-        at[size] = rows
-        head, preds = at.repeat(old.degree), at[old.preds]
-        edge = (head >= 0) & (preds >= 0)
-        head, preds = head[edge], preds[edge]
-        tail, succs = at.repeat(old.out_degree), at[old.succs]
-        edge = (tail >= 0) & (succs >= 0)
-        tail, succs = tail[edge], succs[edge]
-        pos = at[old.pos]
-        pos[old.pos < 0] = -1
-        new = _DomTable(
-            old.vaccinated, pos, old.topo[kept], old.node[kept], old.bit[kept],
-            preds, *_offsets(head, rows + 1), succs, *_offsets(tail, rows + 1),
-        )
-        kept = np.append(kept, size)  # the super-source's row stays the last
-        new.vaccinated = old.vaccinated
-        new.kind = old.kind[kept]
-        new.witness = at[old.witness[kept]]
-        new.dom = old.dom[kept]
-        new.counts = old.counts
-        old.vaccinated = old.kind = old.witness = old.dom = old.counts = None
-        return new
+        self._pos = pos[:root].reshape(s, n)  # (s, n): the row of node u in topology t; -1 if it has none
+        self._topo = (heads // n).astype(np.int32)  # each row's topology
+        self._node = (heads % n).astype(np.int32)  # each row's node
+        self._bit = _bit(heads % n)  # each row's node bit within its uint64 word
+        # every row's predecessor rows in edge order, one row after another;
+        # each row's first entry among them, and how many it has (at least one)
+        self._preds = preds
+        self._first, self._degree = _offsets(head, rows + 1)
+        # the same for successors, the super-source's (the seeds) included
+        self._succs = head[by_tail]
+        self._out_first, self._out_degree = _offsets(preds, rows + 1)
 
     def gains(self, S) -> np.ndarray:
-        # greedy is the one caller, with S growing by one node per call, so
-        # the compact table is moved here and never by a swap pass: a set
-        # without its base starts a new run on this shared evaluator, and a
-        # set that leaves few of its rows reached makes the next call's
-        # table.  The benchmark's tracer also wraps this method by name.
-        S = frozenset(S)
-        if not self._compact.base <= S:
-            self._compact = self._full
-        out, saved = self._gains(S)
-        if self.n * self.s - saved.sum() < _COMPACT_BELOW * len(self._compact.node):
-            self._compact = self._shrink(self._compact)
-        return out
+        # defined on this class, not only inherited, so that the benchmark's
+        # tracer can wrap it by name
+        return BfsEvaluator.gains(self, S)
 
     def _counts(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
         # the pass has a name of its own because the benchmark's tracer wraps it
@@ -450,17 +365,15 @@ class IcDominatorEvaluator(BfsEvaluator):
 
     def _dominator_pass(self, S, candidates) -> tuple[np.ndarray, np.ndarray]:
         """Per-topology saved counts of S and dominated-node counts of ``candidates``."""
-        S = frozenset(S)
-        table = self._compact if self._compact.base <= S else self._full
-        self._move(table, S)
+        self._move(frozenset(S))
         candidates = np.asarray(candidates, dtype=np.intp)
         keys = self.s * self.n
-        gain_counts = table.counts[:keys].reshape(self.s, self.n)[:, candidates]
+        gain_counts = self._tally[:keys].reshape(self.s, self.n)[:, candidates]
         gain_counts[:, self._is_seed[candidates]] = 0
-        return self.n - table.counts[keys:], gain_counts
+        return self.n - self._tally[keys:], gain_counts
 
-    def _move(self, table, S) -> None:
-        """Bring the state of ``table`` from its set W to S.
+    def _move(self, S) -> None:
+        """Bring the kernel's state from its set W to S.
 
         The rows whose value may change form the region: the newly
         vaccinated rows, the rows no longer vaccinated and the unreached rows
@@ -468,14 +381,14 @@ class IcDominatorEvaluator(BfsEvaluator):
         through certified rows that lose a witness.  Only the region is
         certified again and swept; every row outside it keeps its value.
         """
-        if table.kind is None:
-            self._start(table, S)
+        if self._kind is None:
+            self._start(S)
             return
-        add, drop = S - table.vaccinated, table.vaccinated - S
+        add, drop = S - self._vaccinated, self._vaccinated - S
         if not (add or drop):
             return
-        kind, witness, dom = table.kind, table.witness, table.dom
-        newly, back = self._rows(table, add), self._rows(table, drop)
+        kind, witness, dom = self._kind, self._witness, self._dom
+        newly, back = self._rows(add), self._rows(drop)
         kind[newly] = _VAC
         kind[back] = _SWEEP
         # the region grows through unreached rows too when a row is no longer
@@ -484,7 +397,7 @@ class IcDominatorEvaluator(BfsEvaluator):
         ahead = np.concatenate([newly, back])
         opened = [back]  # the rows whose certified predecessors may grow, or whose certificate went
         while len(ahead):
-            ahead = self._successors(table, ahead)
+            ahead = self._successors(ahead)
             was = kind[ahead]
             certified = ahead[was == _CERT]
             # both witnesses certified: their two int8 kinds read 0x0101 as one int16
@@ -499,47 +412,46 @@ class IcDominatorEvaluator(BfsEvaluator):
         dom[newly] = ~np.uint64(0)
         # any other open row of the region has no more certified predecessors
         # than before, unless one is certified here
-        self._certify(table, np.concatenate(opened))
-        self._solve(table, region)
+        self._certify(np.concatenate(opened))
+        self._solve(region)
         new = dom[rows]
         moved = (old != new).any(axis=1)
         rows = rows[moved]
         if len(rows):
             self._count(
-                table,
                 np.concatenate([rows, rows]),
                 np.concatenate([old[moved], new[moved]]),
                 np.repeat(np.array([-1, 1]), len(rows)),
             )
-        table.vaccinated = S
+        self._vaccinated = S
 
-    def _start(self, table, S) -> None:
-        """The state of a table without one, under S."""
-        rows = len(table.node)
-        table.vaccinated = S
-        table.kind = kind = np.full(rows + 1, _SWEEP, dtype=np.int8)
-        table.witness = np.full((rows + 1, 2), rows, dtype=np.int32)
-        table.dom = np.full((rows + 1, self._words), ~np.uint64(0))
-        table.dom[rows] = 0  # the super-source's row: reached, dominated by nothing
-        table.counts = np.zeros(self.s * (self.n + 1), dtype=np.int64)
+    def _start(self, S) -> None:
+        """The kernel's first state, under S."""
+        rows = len(self._node)
+        self._vaccinated = S
+        self._kind = kind = np.full(rows + 1, _SWEEP, dtype=np.int8)
+        self._witness = np.full((rows + 1, 2), rows, dtype=np.int32)
+        self._dom = np.full((rows + 1, self._words), ~np.uint64(0))
+        self._dom[rows] = 0  # the super-source's row: reached, dominated by nothing
+        self._tally = np.zeros(self.s * (self.n + 1), dtype=np.int64)
         kind[rows] = _CERT
-        kind[self._rows(table, S)] = _VAC
-        seeds = self._rows(table, self.infected)
+        kind[self._rows(S)] = _VAC
+        seeds = self._rows(self.infected)
         kind[seeds] = _CERT  # their one predecessor is the super-source
-        self._certify(table, self._successors(table, seeds))
-        self._solve(table, np.arange(rows))
-        self._count(table, np.arange(rows), table.dom[:-1], np.ones(rows, dtype=np.int64))
+        self._certify(self._successors(seeds))
+        self._solve(np.arange(rows))
+        self._count(np.arange(rows), self._dom[:-1], np.ones(rows, dtype=np.int64))
 
-    def _rows(self, table, nodes) -> np.ndarray:
-        """The rows of ``nodes`` in ``table``, every topology's."""
-        where = table.pos[:, np.fromiter(nodes, dtype=np.intp, count=len(nodes))].ravel()
+    def _rows(self, nodes) -> np.ndarray:
+        """The rows of ``nodes``, every topology's."""
+        where = self._pos[:, np.fromiter(nodes, dtype=np.intp, count=len(nodes))].ravel()
         return where[where >= 0]
 
-    def _successors(self, table, rows) -> np.ndarray:
+    def _successors(self, rows) -> np.ndarray:
         """The successor rows of ``rows``, with a repeat for each edge into them."""
-        return table.succs[_ragged(table.out_first[rows], table.out_degree[rows])[0]]
+        return self._succs[_ragged(self._out_first[rows], self._out_degree[rows])[0]]
 
-    def _certify(self, table, rows) -> None:
+    def _certify(self, rows) -> None:
         """Certify, round by round, the rows of this pass's region among
         ``rows``, which holds every row that may gain a certificate first, and
         among the successors of each row certified.
@@ -548,7 +460,7 @@ class IcDominatorEvaluator(BfsEvaluator):
         belongs to an earlier round, and after the first round only a
         successor of a row just certified can gain a certified predecessor.
         """
-        kind, witness, slot = table.kind, table.witness, self._slot
+        kind, witness, slot = self._kind, self._witness, self._slot
         while True:
             rows = rows[kind[rows] == _SWEEP]
             at = np.arange(len(rows))
@@ -556,8 +468,8 @@ class IcDominatorEvaluator(BfsEvaluator):
             rows = rows[slot[rows] == at]  # each once
             if not len(rows):
                 return
-            at, start = _ragged(table.first[rows], table.degree[rows])
-            preds = table.preds[at]
+            at, start = _ragged(self._first[rows], self._degree[rows])
+            preds = self._preds[at]
             entry = np.where(kind[preds] == _CERT, np.arange(len(at)), -1)
             last = np.maximum.reduceat(entry, start)
             entry[entry < 0] = len(at)
@@ -569,23 +481,23 @@ class IcDominatorEvaluator(BfsEvaluator):
             kind[rows] = _CERT
             witness[rows, 0] = preds[lowest[two]]
             witness[rows, 1] = preds[last[two]]
-            rows = self._successors(table, rows)
+            rows = self._successors(rows)
 
-    def _solve(self, table, region) -> None:
+    def _solve(self, region) -> None:
         """Set the certified rows of ``region`` to their own bit, sweep the
         others from all ones, and mark those left unreached."""
-        dom, kind = table.dom, table.kind
+        dom, kind = self._dom, self._kind
         was = kind[region]
         settled, sweep = region[was == _CERT], region[was == _SWEEP]
-        dom[settled] = self._own(table, settled)
+        dom[settled] = self._own(settled)
         if len(sweep):
             dom[sweep] = ~np.uint64(0)
             kind[sweep] = _OPEN
-            self._sweep(table, sweep)
+            self._sweep(sweep)
             far_word, far_bit = self._far
             kind[sweep[(dom[sweep, far_word] & far_bit) != 0]] = _DEAD
 
-    def _sweep(self, table, rows) -> None:
+    def _sweep(self, rows) -> None:
         """Sweep ``rows``, which are all ones, all at once until a sweep
         changes nothing; every other row is a constant.
 
@@ -593,18 +505,18 @@ class IcDominatorEvaluator(BfsEvaluator):
         the rows with more than j, belongs to a prefix of them: one ``take``
         gathers every slot, one after another, and a slot's AND is one slice.
         """
-        dom = table.dom
-        degree = table.degree[rows]
+        dom = self._dom
+        degree = self._degree[rows]
         by = np.argsort(-degree, kind="stable")
         rows, degree = rows[by], degree[by]
         widths = (-degree).searchsorted(-np.arange(degree[0]))  # per slot j, the rows of in-degree > j
         bases = np.cumsum(widths) - widths
-        at, start = _ragged(table.first[rows], degree)
+        at, start = _ragged(self._first[rows], degree)
         slot = np.arange(len(at)) - start.repeat(degree)  # each entry's j
-        slots = np.empty(len(at), dtype=table.preds.dtype)
-        slots[bases[slot] + np.arange(len(rows)).repeat(degree)] = table.preds[at]
+        slots = np.empty(len(at), dtype=self._preds.dtype)
+        slots[bases[slot] + np.arange(len(rows)).repeat(degree)] = self._preds[at]
         spans = list(zip(bases[1:].tolist(), widths[1:].tolist()))
-        own = self._own(table, rows)
+        own = self._own(rows)
         old = dom[rows]
         while True:
             part = dom.take(slots, axis=0)
@@ -617,13 +529,13 @@ class IcDominatorEvaluator(BfsEvaluator):
                 return
             old = acc
 
-    def _own(self, table, rows) -> np.ndarray:
+    def _own(self, rows) -> np.ndarray:
         """The Dom value of each of ``rows`` that holds its own bit alone."""
         own = np.zeros((len(rows), self._words), dtype=np.uint64)
-        own.reshape(-1)[np.arange(len(rows)) * self._words + (table.node[rows] >> 6)] = table.bit[rows]
+        own.reshape(-1)[np.arange(len(rows)) * self._words + (self._node[rows] >> 6)] = self._bit[rows]
         return own
 
-    def _count(self, table, rows, values, sign) -> None:
+    def _count(self, rows, values, sign) -> None:
         """Add ``sign[i]`` for the i-th of ``rows``, with Dom ``values[i]``, if
         it is reached: to its topology's reached rows and to the key of every
         node its Dom holds, its own included.  An unreached or vaccinated row
@@ -632,10 +544,10 @@ class IcDominatorEvaluator(BfsEvaluator):
         far_word, far_bit = self._far
         live = ((values[:, far_word] & far_bit) == 0).nonzero()[0]
         rows, sign = rows[live], sign[live]
-        topo = table.topo[rows]
-        keys, signs = [topo * n + table.node[rows], self.s * n + topo], [sign, sign]
+        topo = self._topo[rows]
+        keys, signs = [topo * n + self._node[rows], self.s * n + topo], [sign, sign]
         values = values[live]
-        values.reshape(-1)[np.arange(len(rows)) * self._words + (table.node[rows] >> 6)] ^= table.bit[rows]
+        values.reshape(-1)[np.arange(len(rows)) * self._words + (self._node[rows] >> 6)] ^= self._bit[rows]
         row, word = values.nonzero()  # the strict dominators' words
         value = values[row, word]
         at = topo[row] * n + word * 64  # the key of each word's bit 0
@@ -647,7 +559,7 @@ class IcDominatorEvaluator(BfsEvaluator):
             value ^= low
             more = value.nonzero()[0]
             value, at, sign = value[more], at[more], sign[more]
-        np.add.at(table.counts, np.concatenate(keys), np.concatenate(signs))
+        np.add.at(self._tally, np.concatenate(keys), np.concatenate(signs))
 
 
 class LtChainEvaluator(BfsEvaluator):
@@ -785,7 +697,8 @@ def make_evaluator(instance: ProblemInstance, evaluation: str = "bfs") -> BfsEva
     one instance, and on its copies with another ``k``, share one evaluator.
     Any other request empties the slot before it builds, so the slot never
     holds the old evaluator while the new one is built.  An evaluator is not
-    safe to use from two threads at once: it keeps one BFS visitation buffer.
+    safe to use from two threads at once: it keeps one BFS visitation buffer,
+    and the IC structural one also keeps its dominator table's state.
     """
     global _last
     if (

@@ -43,6 +43,7 @@ from netvax.fastpath import (
     _stable_order,
     make_evaluator,
 )
+from netvax.heuristics import greedy_trajectory
 from netvax.topology import flowgraph
 
 
@@ -586,18 +587,18 @@ def test_dominator_kernel_matches_networkx(case):
         assert np.array_equal(gain_counts[t], expected_counts)
 
 
-def sweeps_from_all_ones(table, blocked, words):
-    """The Dom sets of every row of ``table`` with the rows in ``blocked``
-    vaccinated, from sweeps over every row that read every predecessor,
-    starting from an all-ones table, until one changes nothing."""
+def sweeps_from_all_ones(fast, blocked, words):
+    """The Dom sets of every row of the table of ``fast`` with the rows in
+    ``blocked`` vaccinated, from sweeps over every row that read every
+    predecessor, starting from an all-ones table, until one changes nothing."""
     ones = ~np.uint64(0)
     rows = len(blocked)
     dom = np.full((rows + 1, words), ones)
     dom[-1] = 0  # the super-source
     own = np.zeros((rows, words), dtype=np.uint64)
-    own[np.arange(rows), table.node >> 6] = table.bit
+    own[np.arange(rows), fast._node >> 6] = fast._bit
     while rows:
-        acc = np.bitwise_and.reduceat(dom[table.preds], table.first[:-1], axis=0) | own
+        acc = np.bitwise_and.reduceat(dom[fast._preds], fast._first[:-1], axis=0) | own
         acc[blocked] = ones
         if np.array_equal(acc, dom[:-1]):
             break
@@ -605,68 +606,68 @@ def sweeps_from_all_ones(table, blocked, words):
     return dom[:-1]
 
 
-def pred_lists(table):
+def pred_lists(fast):
     """Each row's predecessor rows, as lists."""
-    first, degree = table.first[:-1].tolist(), table.degree[:-1].tolist()
-    return [table.preds[f : f + d].tolist() for f, d in zip(first, degree)]
+    first, degree = fast._first[:-1].tolist(), fast._degree[:-1].tolist()
+    return [fast._preds[f : f + d].tolist() for f, d in zip(first, degree)]
 
 
-def least_certified(table, blocked):
+def least_certified(fast, blocked):
     """The rows that the two-certified-predecessors rule reaches from the
     seed rows, round by round, with the rows in ``blocked`` left out."""
     rows = len(blocked)
     cert = np.zeros(rows + 1, dtype=bool)
     cert[-1] = True  # the super-source, the seeds' one predecessor
-    seeds = (table.degree[:-1] == 1) & (table.preds[table.first[:-1]] == rows)
-    entry_row = np.repeat(np.arange(rows), table.degree[:-1])
+    seeds = (fast._degree[:-1] == 1) & (fast._preds[fast._first[:-1]] == rows)
+    entry_row = np.repeat(np.arange(rows), fast._degree[:-1])
     while True:
-        count = np.bincount(entry_row, weights=cert[table.preds], minlength=rows)
+        count = np.bincount(entry_row, weights=cert[fast._preds], minlength=rows)
         now = np.append(((count >= 2) | seeds) & ~blocked, True)
         if np.array_equal(now, cert):
             return cert[:-1]
         cert = now
 
 
-def vaccinated_rows(table, S):
-    blocked = np.zeros(len(table.node), dtype=bool)
-    where = table.pos[:, sorted(S)].ravel()
+def vaccinated_rows(fast, S):
+    blocked = np.zeros(len(fast._node), dtype=bool)
+    where = fast._pos[:, sorted(S)].ravel()
     blocked[where[where >= 0]] = True
     return blocked
 
 
-def assert_state_matches_references(inst, fast, table, S):
-    """A table's state under S against sweeps from all ones and a fresh
+def assert_state_matches_references(inst, fast, S):
+    """The kernel's state under S against sweeps from all ones and a fresh
     certification: Dom sets bit for bit, each row's kind, sound and acyclic
     certificates on two predecessors, and the counts."""
     n, s = inst.n, len(inst.topologies)
-    rows = len(table.node)
-    blocked = vaccinated_rows(table, S)
-    ref = sweeps_from_all_ones(table, blocked, n // 64 + 1)
-    assert table.vaccinated == S
-    assert np.array_equal(table.dom[:-1], ref)
+    rows = len(fast._node)
+    blocked = vaccinated_rows(fast, S)
+    ref = sweeps_from_all_ones(fast, blocked, n // 64 + 1)
+    assert fast._vaccinated == S
+    assert np.array_equal(fast._dom[:-1], ref)
     unreached = (ref[:, n >> 6] >> np.uint64(n & 63)) & np.uint64(1) == 1
-    kind = table.kind[:-1]
+    kind = fast._kind[:-1]
     assert np.array_equal(kind == _VAC, blocked)
     assert np.array_equal(kind == _DEAD, unreached & ~blocked)
     # certified rows: their own bit alone, exactly the rule's rows, each on
     # two distinct certified predecessors, with no cycle among witnesses
     certified = (kind == _CERT).nonzero()[0]
     own = np.zeros((len(certified), ref.shape[1]), dtype=np.uint64)
-    own[np.arange(len(certified)), table.node[certified] >> 6] = table.bit[certified]
+    own[np.arange(len(certified)), fast._node[certified] >> 6] = fast._bit[certified]
     assert np.array_equal(ref[certified], own)
-    assert np.array_equal(kind == _CERT, least_certified(table, blocked))
-    preds = pred_lists(table)
+    assert np.array_equal(kind == _CERT, least_certified(fast, blocked))
+    preds = pred_lists(fast)
     for r in certified.tolist():
         if preds[r] == [rows]:  # a seed: its one predecessor is the super-source
             continue
-        a, b = table.witness[r].tolist()
+        a, b = fast._witness[r].tolist()
         assert a != b and a in preds[r] and b in preds[r]
-        assert table.kind[a] == table.kind[b] == _CERT
+        assert fast._kind[a] == fast._kind[b] == _CERT
     done = np.zeros(rows + 1, dtype=bool)
     done[rows] = True
     pending = certified
     while len(pending):  # peel off the certified rows whose witnesses are done
-        ready = done[table.witness[pending]].all(axis=1)
+        ready = done[fast._witness[pending]].all(axis=1)
         assert ready.any(), "the witness graph has a cycle"
         done[pending[ready]] = True
         pending = pending[~ready]
@@ -674,14 +675,14 @@ def assert_state_matches_references(inst, fast, table, S):
     live = ~unreached & ~blocked
     holds = np.unpackbits(ref[live].view(np.uint8), axis=1, bitorder="little")[:, :n]
     per_node = np.zeros((s, n), dtype=np.int64)
-    np.add.at(per_node, table.topo[live], holds)
-    counts = np.concatenate([per_node.ravel(), np.bincount(table.topo[live], minlength=s)])
-    assert np.array_equal(table.counts, counts)
+    np.add.at(per_node, fast._topo[live], holds)
+    counts = np.concatenate([per_node.ravel(), np.bincount(fast._topo[live], minlength=s)])
+    assert np.array_equal(fast._tally, counts)
 
 
 def ic128_greedy_with_swap_passes(monkeypatch, check):
     """12 greedy steps at IC n=128, s=50, with a local-search swap pass after
-    each; ``check(inst, fast, table, S)`` runs after every pass."""
+    each; ``check(inst, fast, S)`` runs after every pass."""
     cfg = ExperimentConfig(
         model=IC, generator="waxman", n=128, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
     )
@@ -689,10 +690,10 @@ def ic128_greedy_with_swap_passes(monkeypatch, check):
     move = IcDominatorEvaluator._move
     moves = []
 
-    def checked_move(self, table, S):
-        move(self, table, S)
+    def checked_move(self, S):
+        move(self, S)
         moves.append(len(S))
-        check(inst, self, table, S)
+        check(inst, self, S)
 
     monkeypatch.setattr(IcDominatorEvaluator, "_move", checked_move)
     fast = IcDominatorEvaluator(inst)
@@ -708,19 +709,18 @@ def ic128_greedy_with_swap_passes(monkeypatch, check):
 
 def test_dom_tables_match_sweeps_from_all_ones_along_greedy_and_swaps(monkeypatch):
     # a pass sweeps only the open rows downstream of what changed and reads
-    # the certified rows as constants; every table's Dom sets, kinds,
+    # the certified rows as constants; after every pass the Dom sets, kinds,
     # certificates and counts must be those of sweeps over every row from
     # all ones and of a fresh certification, bit for bit
     swept = []
     sweep = IcDominatorEvaluator._sweep
 
-    def noted_sweep(self, table, rows):
-        swept.append(len(rows) / len(table.node))
-        return sweep(self, table, rows)
+    def noted_sweep(self, rows):
+        swept.append(len(rows) / len(self._node))
+        return sweep(self, rows)
 
     monkeypatch.setattr(IcDominatorEvaluator, "_sweep", noted_sweep)
-    fast = ic128_greedy_with_swap_passes(monkeypatch, assert_state_matches_references)
-    assert fast._compact is not fast._full
+    ic128_greedy_with_swap_passes(monkeypatch, assert_state_matches_references)
     assert np.median(swept) < 0.25  # most passes sweep a small part of the table
 
 
@@ -730,10 +730,10 @@ def test_certificates_cover_most_rows_at_their_own_bit_along_greedy_and_swaps(mo
     # sweeps from all ones; and certificates must cover most such rows
     covered = []
 
-    def check(inst, fast, table, S):
-        blocked = vaccinated_rows(table, S)
-        ref = sweeps_from_all_ones(table, blocked, inst.n // 64 + 1)
-        certified = table.kind[:-1] == _CERT
+    def check(inst, fast, S):
+        blocked = vaccinated_rows(fast, S)
+        ref = sweeps_from_all_ones(fast, blocked, inst.n // 64 + 1)
+        certified = fast._kind[:-1] == _CERT
         alone = np.bitwise_count(ref).sum(axis=1) == 1
         assert np.all(alone[certified])
         covered.append(np.count_nonzero(certified) / max(np.count_nonzero(alone & ~blocked), 1))
@@ -742,121 +742,110 @@ def test_certificates_cover_most_rows_at_their_own_bit_along_greedy_and_swaps(mo
     assert min(covered) > 0.5
 
 
-def assert_same_table(got, want):
-    fields = ("base", "pos", "topo", "node", "bit", "preds", "first", "degree", "succs", "out_first", "out_degree")
-    for field in fields:
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-
-
-def assert_table_lists(inst, table):
-    """Check a ``_DomTable`` against its flowgraph: its rows are the reached
-    ones in row id order, each row's predecessors are the tails of the edges
-    into it in edge order, at least one, each row's successors are the heads
-    of the edges out of it in edge order, and the seeds' one predecessor is
-    the super-source."""
-    n, s = inst.n, len(inst.topologies)
-    tail, head, level = flowgraph(
-        inst.topologies.stacked_edges(), s, n, sorted(inst.infected), vaccinated=sorted(table.base)
+def test_a_second_greedy_run_releases_the_first_runs_set_in_one_move(monkeypatch):
+    # the evaluator keeps its state under greedy's final set, so a second
+    # run on it starts with one pass that releases the whole set; the state
+    # after that pass must match the references, and the run must retrace
+    # the first, fresh one
+    cfg = ExperimentConfig(
+        model=IC, generator="waxman", n=128, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
     )
+    inst = replace(build_instance(cfg, 0), k=20)
+    budgets = range(1, inst.k + 1)
+    first = greedy_trajectory(inst, budgets, evaluation="structural")
+    shared = make_evaluator(inst, "structural")
+    assert shared._vaccinated == first[inst.k].vaccination.nodes
+    move = IcDominatorEvaluator._move
+    released = []
+
+    def checked_move(self, S):
+        was = self._vaccinated
+        move(self, S)
+        if was and not S:
+            released.append(len(was))
+            assert_state_matches_references(inst, self, S)
+
+    monkeypatch.setattr(IcDominatorEvaluator, "_move", checked_move)
+    again = greedy_trajectory(inst, budgets, evaluation="structural")
+    assert make_evaluator(inst, "structural") is shared
+    assert released == [inst.k]
+    for k in budgets:
+        assert again[k].vaccination == first[k].vaccination
+        assert again[k].avg_saved == first[k].avg_saved
+        assert again[k].per_topology_saved == first[k].per_topology_saved
+
+
+def test_states_carried_along_greedy_at_ic512_equal_fresh_ones():
+    # at the paper's IC size, vaccination along greedy takes certificates
+    # back from rows whose witness it vaccinates; the state carried from
+    # step to step must equal the one a fresh evaluator starts under the set
+    cfg = ExperimentConfig(
+        model=IC, generator="waxman", n=512, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
+    )
+    inst = build_instance(cfg, 0)
+    fast = IcDominatorEvaluator(inst)
+    S = set()
+    for step in range(1, 161):
+        gains = fast.gains(S)
+        if step % 40 == 0:
+            fresh = IcDominatorEvaluator(inst)
+            assert np.array_equal(fresh.gains(S), gains)
+            for field in ("_kind", "_dom", "_tally"):
+                assert np.array_equal(getattr(fast, field), getattr(fresh, field)), field
+        S.add(int(np.argmax(gains)))
+
+
+def assert_table_lists(inst, fast):
+    """Check the table of ``fast`` against its flowgraph: its rows are the
+    reached ones in row id order, each row's predecessors are the tails of
+    the edges into it in edge order, at least one, each row's successors are
+    the heads of the edges out of it in edge order, and the seeds' one
+    predecessor is the super-source."""
+    n, s = inst.n, len(inst.topologies)
+    tail, head, level = flowgraph(inst.topologies.stacked_edges(), s, n, sorted(inst.infected))
     heads = np.flatnonzero(level[: s * n] >= 0)
     rows = len(heads)
-    assert np.array_equal(table.topo.astype(np.int64) * n + table.node, heads)
-    pos = np.append(table.pos.ravel(), rows)  # the super-source's row is the last
+    assert np.array_equal(fast._topo.astype(np.int64) * n + fast._node, heads)
+    pos = np.append(fast._pos.ravel(), rows)  # the super-source's row is the last
     assert np.array_equal(pos[heads], np.arange(rows))
     want_preds, want_succs = [[] for _ in range(rows)], [[] for _ in range(rows + 1)]
     for a, b in zip(pos[tail].tolist(), pos[head].tolist()):
         want_preds[b].append(a)
         want_succs[a].append(b)
-    assert pred_lists(table) == want_preds and all(want_preds)
-    first, degree = table.out_first.tolist(), table.out_degree.tolist()
-    succs = [table.succs[f : f + d].tolist() for f, d in zip(first, degree)]
+    assert pred_lists(fast) == want_preds and all(want_preds)
+    first, degree = fast._out_first.tolist(), fast._out_degree.tolist()
+    succs = [fast._succs[f : f + d].tolist() for f, d in zip(first, degree)]
     assert succs == want_succs
     seeds = {(t, v) for t in range(s) for v in inst.infected}
-    assert {(int(table.topo[r]), int(table.node[r])) for r in want_succs[rows]} == seeds
+    assert {(int(fast._topo[r]), int(fast._node[r])) for r in want_succs[rows]} == seeds
 
 
 @settings(max_examples=60)
-@given(inst=cyclic_ic_instances(), seed=st.integers(0, 2**20))
-def test_tables_hold_reached_rows_with_preds_and_succs_in_edge_order(inst, seed):
-    fast = IcDominatorEvaluator(inst)
-    assert_table_lists(inst, fast._full)
-    rng = np.random.default_rng(seed)
-    cands = inst.candidates()
-    count = int(rng.integers(len(cands) + 1))
-    base = frozenset(int(v) for v in rng.choice(cands, size=count, replace=False))
-    assert_table_lists(inst, fast._table(base))
-
-
-@settings(max_examples=60)
-@given(case=st.one_of(dominator_cases(), cyclic_ic_cases()), seed=st.integers(0, 2**20))
-def test_shrunk_tables_equal_fresh_ones_with_sound_certificates(case, seed):
-    # a compact table cut from a table whose state is at W equals the table
-    # built under W, and the state it carries over equals the state a fresh
-    # table reaches under W: certificates, Dom sets and counts
-    inst, S = case
-    if inst.graph.model != IC:
-        return
-    fast = IcDominatorEvaluator(inst)
-    rng = np.random.default_rng(seed)
-    cands = inst.candidates()
-    # reach S by way of another set, so that the state moves both ways
-    detour = frozenset(int(v) for v in rng.choice(cands, size=min(3, len(cands)), replace=False))
-    fast._counts(detour, ())
-    fast._counts(S, ())
-    shrunk = fast._shrink(fast._full)
-    fresh = fast._table(S)
-    assert_same_table(shrunk, fresh)
-    fast._move(fresh, S)
-    for field in ("kind", "dom", "counts"):
-        assert np.array_equal(getattr(shrunk, field), getattr(fresh, field)), field
-    assert_state_matches_references(inst, fast, shrunk, S)
-
-
-def test_compactions_along_greedy_carry_states_equal_to_fresh_ones(monkeypatch):
-    # greedy at IC n=512 compacts several times; each compact table and the
-    # state it carries over equal a fresh table's under the same set
-    cfg = ExperimentConfig(
-        model=IC, generator="waxman", n=512, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
-    )
-    inst = build_instance(cfg, 0)
-    shrink = IcDominatorEvaluator._shrink
-    checked = []
-
-    def checked_shrink(self, old):
-        new = shrink(self, old)
-        fresh = self._table(new.base)
-        assert_same_table(new, fresh)
-        self._move(fresh, new.base)
-        for field in ("kind", "dom", "counts"):
-            assert np.array_equal(getattr(new, field), getattr(fresh, field)), field
-        checked.append(len(new.node))
-        return new
-
-    monkeypatch.setattr(IcDominatorEvaluator, "_shrink", checked_shrink)
-    fast = IcDominatorEvaluator(inst)
-    S = set()
-    for _ in range(160):
-        S.add(int(np.argmax(fast.gains(S))))
-    assert len(checked) >= 2
+@given(inst=cyclic_ic_instances())
+def test_tables_hold_reached_rows_with_preds_and_succs_in_edge_order(inst):
+    assert_table_lists(inst, IcDominatorEvaluator(inst))
 
 
 @st.composite
 def query_sequences(draw):
-    """A dominator case and up to 8 queries on sets that grow, shrink, jump or repeat."""
+    """A dominator case and up to 8 queries on sets that grow, shrink, swap,
+    jump or repeat; a swap is ``(S - {v}) | {w}``, as a swap pass asks."""
     inst, S = draw(st.one_of(dominator_cases(), cyclic_ic_cases()))
     cands = inst.candidates()
     steps = []
     S = set(S)
     for _ in range(draw(st.integers(1, 8))):
-        move = draw(st.sampled_from(["grow", "shrink", "jump", "repeat"]))
+        move = draw(st.sampled_from(["grow", "shrink", "swap", "jump", "repeat"]))
         outside = [v for v in cands if v not in S]
         if move == "grow" and outside:
             S = S | set(draw(st.lists(st.sampled_from(outside), min_size=1, max_size=3, unique=True)))
         elif move == "shrink" and S:
             S = S - set(draw(st.lists(st.sampled_from(sorted(S)), min_size=1, max_size=3, unique=True)))
+        elif move == "swap" and S and outside:
+            S = (S - {draw(st.sampled_from(sorted(S)))}) | {draw(st.sampled_from(outside))}
         elif move == "jump":
             S = set(draw(st.lists(st.sampled_from(cands), max_size=8, unique=True)))
-        query = draw(st.sampled_from(["gains", "totals_with", "per_topology_saved"]))
+        query = draw(st.sampled_from(["gains", "totals_with", "per_topology_saved", "swap_totals"]))
         outside = [v for v in cands if v not in S]
         ws = draw(st.lists(st.sampled_from(outside), max_size=6, unique=True)) if outside else []
         steps.append((frozenset(S), query, ws))
@@ -879,10 +868,18 @@ def test_a_shared_structural_evaluator_answers_query_sequences_as_fresh_ones_and
             want = list(ref.totals_with(S, ws))
             assert list(fresh.totals_with(S, ws)) == want
             assert list(shared.totals_with(S, ws)) == want
+        elif query == "swap_totals":
+            allowed = np.ones((len(S), inst.n), dtype=bool)
+            want = ref.swap_totals(S, allowed)
+            assert np.array_equal(fresh.swap_totals(S, allowed), want)
+            assert np.array_equal(shared.swap_totals(S, allowed), want)
         else:
             want = ref.per_topology_saved(S)
             assert fresh.per_topology_saved(S) == want
             assert shared.per_topology_saved(S) == want
+        if isinstance(shared, IcDominatorEvaluator):
+            # moved both ways, the shared state must still hold sound certificates
+            assert_state_matches_references(inst, shared, shared._vaccinated)
 
 
 @pytest.mark.parametrize("bound", [1, 5, 2**16, 2**16 + 1, 2**31])
@@ -899,111 +896,13 @@ def test_no_dom_table_on_lt_and_no_one_sweep_on_ic_back_edge():
         inst = random_instance(seed, model=LT, n=30, p=0.2, s=5, n_infected=2, k=3)
         fast = LtChainEvaluator(inst)
         assert not isinstance(fast, IcDominatorEvaluator)
-        assert not hasattr(fast, "_full") and not hasattr(fast, "_compact")
-    # 0 -> 1 -> 2 -> 1: the edge 2 -> 1 runs back to a lower BFS level;
-    # vaccinating 4 leaves 4 of the 6 reached rows, so gains({4}) compacts
+        assert not hasattr(fast, "_dom")
+    # 0 -> 1 -> 2 -> 1: the edge 2 -> 1 runs back to a lower BFS level
     edges = [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4), (4, 5), (5, 4)]
     inst = single_topology_instance(6, edges, {0}, 1)
     fast = IcDominatorEvaluator(inst)
-    assert np.array_equal(fast.gains(set()), naive_gains(inst, set()))
-    assert fast._compact is fast._full
-    assert np.array_equal(fast.gains({4}), naive_gains(inst, {4}))
-    assert fast._compact.base == {4} and len(fast._compact.node) == 4
-    for S in ({4}, {4, 2}, {4, 5, 3}):
+    for S in (set(), {4}, {4, 2}, {4, 5, 3}):
         assert np.array_equal(fast.gains(S), naive_gains(inst, S))
-
-
-def matches_fresh(inst, fast, S, rng):
-    """Assert that ``fast`` answers S bit for bit as a fresh evaluator does; return its gains.
-
-    ``gains`` comes last, because it may reset or rebuild the compact table.
-    """
-    fresh = IcDominatorEvaluator(inst)
-    S = frozenset(S)
-    ws = [w for w in inst.candidates() if w not in S]
-    assert np.array_equal(fast.totals_with(S, ws), fresh.totals_with(S, ws))
-    allowed = np.zeros((len(S), inst.n), dtype=bool)
-    rows = rng.choice(len(S), size=min(4, len(S)), replace=False)
-    allowed[rows] = rng.random((len(rows), inst.n)) < 0.5
-    assert np.array_equal(fast.swap_totals(S, allowed), fresh.swap_totals(S, allowed))
-    assert fast.per_topology_saved(S) == fresh.per_topology_saved(S)
-    got = fast.gains(S)
-    assert np.array_equal(got, fresh.gains(S))
-    return got
-
-
-def test_compacted_ic_table_matches_a_fresh_evaluator(monkeypatch):
-    # at the paper's IC size, greedy compacts the table after some 75 steps
-    cfg = ExperimentConfig(
-        model=IC, generator="waxman", n=512, centers=5, samples=50, seed=0, alpha=0.05, beta=0.5
-    )
-    inst = build_instance(cfg, 0)
-    fast = IcDominatorEvaluator(inst)
-    S = set()
-    while fast._compact is fast._full:
-        S.add(int(np.argmax(fast.gains(S))))
-    assert 0 < len(fast._compact.node) < 0.8 * len(fast._full.node)
-    # every pass names its set and then its table; S - {v} of a swap pass
-    # holds the base only when v is not in it
-    passes, tables = [], []
-    dominator_pass = IcDominatorEvaluator._dominator_pass
-    move = IcDominatorEvaluator._move
-
-    def spy_pass(self, S, candidates):
-        if self is fast:
-            passes.append(frozenset(S))
-        return dominator_pass(self, S, candidates)
-
-    def spy_move(self, table, S):
-        if self is fast:
-            tables.append(table)
-        return move(self, table, S)
-
-    monkeypatch.setattr(IcDominatorEvaluator, "_dominator_pass", spy_pass)
-    monkeypatch.setattr(IcDominatorEvaluator, "_move", spy_move)
-    rng = np.random.default_rng(0)
-    base = fast._compact.base
-    others = [v for v in inst.candidates() if v not in base]
-    supersets = [base | {int(v) for v in rng.choice(others, size=extra)} for extra in (0, 1, 3, 8)]
-    without_one = (base - {min(base)}) | {int(v) for v in rng.choice(others, size=3)}
-    for S in supersets + [without_one]:
-        compact = fast._compact
-        assert (compact.base <= S) == (S is not without_one)
-        passes.clear()
-        tables.clear()
-        matches_fresh(inst, fast, S, rng)
-        assert len(passes) == len(tables) > 0
-        for P, table in zip(passes, tables):
-            assert table is (compact if compact.base <= P else fast._full)
-        assert (tables[-1] is compact) == (S is not without_one)  # the gains pass
-
-
-@settings(max_examples=40)
-@given(
-    inst=st.one_of(
-        cyclic_ic_instances(),
-        st.integers(0, 2**20).map(lambda seed: enumerated_instance(seed, IC)),
-    ),
-    seed=st.integers(0, 2**20),
-)
-def test_compacted_ic_tables_match_a_fresh_evaluator_on_small_instances(inst, seed):
-    rng = np.random.default_rng(seed)
-    fast = IcDominatorEvaluator(inst)
-    cands = inst.candidates()
-    # greedy over every candidate, which compacts on the way
-    S = frozenset()
-    for _ in cands:
-        assert fast._compact.base <= S
-        S = S | {int(np.argmax(matches_fresh(inst, fast, S, rng)))}
-    # with a table under any base, sets with and without it answer as on a fresh one
-    count = int(rng.integers(len(cands) + 1))
-    base = frozenset(int(v) for v in rng.choice(cands, size=count, replace=False))
-    for size in range(3):
-        fast._compact = fast._table(base)
-        extra = rng.choice(cands, size=min(size, len(cands)), replace=False)
-        matches_fresh(inst, fast, base | {int(v) for v in extra}, rng)
-        fast._compact = fast._table(base)
-        matches_fresh(inst, fast, frozenset(int(v) for v in extra), rng)
 
 
 @settings(max_examples=60)

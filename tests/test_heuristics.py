@@ -281,52 +281,42 @@ def test_ic_structural_swaps_use_dominator_passes(monkeypatch):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The base of every table an ``IcDominatorEvaluator`` makes: its full
-    table from ``_table`` and every compact one from ``_shrink``."""
+    """Every ``IcDominatorEvaluator`` that builds its table, once per build."""
     calls = []
-    table, shrink = IcDominatorEvaluator._table, IcDominatorEvaluator._shrink
+    table = IcDominatorEvaluator._table
 
-    def counted(self, base):
-        calls.append(base)
-        return table(self, base)
-
-    def counted_shrink(self, old):
-        new = shrink(self, old)
-        calls.append(new.base)
-        return new
+    def counted(self):
+        calls.append(self)
+        return table(self)
 
     monkeypatch.setattr(IcDominatorEvaluator, "_table", counted)
-    monkeypatch.setattr(IcDominatorEvaluator, "_shrink", counted_shrink)
     return calls
 
 
-def test_second_greedy_run_on_a_shared_evaluator_resets_its_compact_table(table_builds):
+def test_one_table_per_ic_evaluator_across_greedy_swaps_and_a_second_greedy_run(table_builds):
     inst = replace(ic_waxman_instance(1), k=20)
-    greedy_trajectory(inst, [5, 20], evaluation="structural")
+    first = greedy_trajectory(inst, [5, 20], evaluation="structural")
     shared = make_evaluator(inst, "structural")
-    assert shared._compact is not shared._full
-    del table_builds[:]
+    local_search(inst, first[20].vaccination, evaluation="structural")
+    hill_climb(inst, first[5].vaccination, evaluation="structural")
     again = greedy(replace(inst, k=12), evaluation="structural")
     assert make_evaluator(inst, "structural") is shared
-    rebuilt = table_builds[:]
+    assert table_builds == [shared]
     # an equal copy of the topology set misses the factory's slot: a fresh evaluator
     ts = inst.topologies
     copy = replace(inst, k=12, topologies=TopologySet(ts.topologies, ts.source_graph_hash, ts.seed))
-    del table_builds[:]
     fresh = greedy(copy, evaluation="structural")
-    assert make_evaluator(copy, "structural") is not shared
+    rebuilt = make_evaluator(copy, "structural")
+    assert rebuilt is not shared and table_builds == [shared, rebuilt]
     assert again.vaccination == fresh.vaccination
     assert again.avg_saved == fresh.avg_saved
     assert again.per_topology_saved == fresh.per_topology_saved
-    # the same compactions as a fresh run, after the fresh run's full table
-    assert rebuilt and [frozenset()] + rebuilt == table_builds
 
 
 def test_ic_swap_searches_build_no_table_after_greedy(table_builds):
     for seed in range(3):
         inst = replace(ic_waxman_instance(seed), k=12)
         start = greedy(inst, evaluation="structural").vaccination
-        assert make_evaluator(inst, "structural")._compact.base
         del table_builds[:]
         local_search(inst, start, evaluation="structural")
         hill_climb(inst, start, evaluation="structural")
